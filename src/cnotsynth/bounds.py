@@ -11,8 +11,8 @@ synthesisers are sandwiched against in tests.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
-from math import comb, factorial
 
 import numpy as np
 
@@ -20,42 +20,82 @@ from .errors import SingularMatrix, TooLarge
 from .f2 import F2Matrix, rank
 
 _BFS_LIMIT = 4
+_LN2 = math.log(2.0)
+# float error of the log-domain ratio is ~1e-15 relative; anything within
+# this of an integer is decided exactly
+_RATIO_TOL = 1e-9
+
+
+def _product(values: list) -> int:
+    """Product of integers by a balanced tree, so the big multiplications
+    pair operands of similar size."""
+    while len(values) > 1:
+        pairs = [values[i] * values[i + 1] for i in range(0, len(values) - 1, 2)]
+        if len(values) & 1:
+            pairs.append(values[-1])
+        values = pairs
+    return values[0]
 
 
 def gl_count(n: int) -> int:
-    """#GL(n,2) = prod_{i<n} (2^n - 2^i), exactly."""
+    """#GL(n,2) = prod_{i<n} (2^n - 2^i) = 2^(n(n-1)/2) prod_{1<=j<=n} (2^j - 1),
+    exactly."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = 1
-    for i in range(n):
-        out *= (1 << n) - (1 << i)
-    return out
+    return _product([(1 << j) - 1 for j in range(1, n + 1)]) << (n * (n - 1) // 2)
 
 
 def layer_count(wires: int) -> int:
     """Number of distinct parallel row-elimination matrices on the given
-    wires: choose 2t of them, then pair and orient (2t)!/t! ways."""
+    wires: sum over t of the ways to choose 2t wires, pair them and orient
+    each pair.  Wire N is idle or paired with one of the N-1 others in
+    either direction, so a(N) = a(N-1) + 2(N-1) a(N-2)."""
     if wires < 1:
         raise ValueError("wires must be >= 1")
-    return sum(
-        comb(wires, 2 * t) * factorial(2 * t) // factorial(t)
-        for t in range(wires // 2 + 1)
-    )
+    prev, cur = 1, 1  # a(0), a(1)
+    for k in range(2, wires + 1):
+        prev, cur = cur, cur + 2 * (k - 1) * prev
+    return cur
+
+
+def _log2_gl_count(n: int) -> float:
+    """log2 #GL(n,2) = n^2 + sum_{1<=i<=n} log2(1 - 2^-i)."""
+    return n * n + math.fsum(math.log1p(-(2.0 ** -i)) for i in range(1, n + 1)) / _LN2
+
+
+def _log2_layer_count(wires: int) -> float:
+    """log2 layer_count(wires) as a log-sum-exp over t of the natural logs
+    of wires! / ((wires-2t)! t!)."""
+    top = math.lgamma(wires + 1)
+    terms = [top - math.lgamma(wires - 2 * t + 1) - math.lgamma(t + 1)
+             for t in range(wires // 2 + 1)]
+    peak = max(terms)
+    return (peak + math.log(math.fsum(math.exp(x - peak) for x in terms))) / _LN2
+
+
+def _confirm_depth(k: int, n: int, wires: int) -> int:
+    """Exact choice between depth k and k+1, for a log-domain ratio that
+    lies too close to the integer k to trust its rounding."""
+    return k if layer_count(wires) ** k >= gl_count(n) else k + 1
 
 
 def counting_depth_bound(n: int, m: int) -> int:
     """Smallest d with layer_count(n+m)^d >= gl_count(n): a lower bound on
-    the worst-case depth of exact CNOT circuits with m ancillae."""
+    the worst-case depth of exact CNOT circuits with m ancillae.
+
+    d = ceil(log2 gl_count / log2 layer_count), computed in floating
+    point; a ratio within _RATIO_TOL (relative) of an integer is settled
+    with exact integers.
+    """
     if n < 1 or m < 0:
         raise ValueError("need n >= 1, m >= 0")
-    target = gl_count(n)
-    per_layer = layer_count(n + m)
-    d = 0
-    acc = 1
-    while acc < target:
-        acc *= per_layer
-        d += 1
-    return d
+    if n + m == 1:  # one wire, one matrix: no layer needed
+        return 0
+    ratio = _log2_gl_count(n) / _log2_layer_count(n + m)
+    k = round(ratio)
+    if abs(ratio - k) <= _RATIO_TOL * max(1.0, ratio):
+        return _confirm_depth(k, n, n + m)
+    return math.ceil(ratio)
 
 
 def fanin_depth_bound(m: F2Matrix) -> int:

@@ -245,12 +245,144 @@ def merge_independent_schedules(a: Circuit, b: Circuit) -> Circuit:
 # text format: header then one "c>t c>t ..." line per layer
 # ----------------------------------------------------------------------
 
+# Both directions work on whole groups of layers at a time, about this many
+# gates (or this many bytes of layer text) per group, so the temporary
+# arrays stay small next to the circuit itself.
+_CHUNK_GATES = 1 << 15
+_CHUNK_BYTES = 1 << 18
+
+# byte classes of layer text: blank (str.isspace within ASCII), digit, '>',
+# '-' and anything else; _FOLLOWS[5 * a + b] says whether class b may come
+# right after class a, so a line's tokens read ([-]digits '>')* [-]digits
+_BLANK, _DIGIT, _ARROW, _MINUS, _OTHER = range(5)
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = _BLANK
+_BYTE_CLASS[48:58] = _DIGIT
+_BYTE_CLASS[ord(">")] = _ARROW
+_BYTE_CLASS[ord("-")] = _MINUS
+_FOLLOWS = np.zeros(25, dtype=bool)
+_FOLLOWS[[5 * a + b for a, b in ((_BLANK, _BLANK), (_BLANK, _DIGIT), (_BLANK, _MINUS),
+                                 (_DIGIT, _BLANK), (_DIGIT, _DIGIT), (_DIGIT, _ARROW),
+                                 (_ARROW, _DIGIT), (_ARROW, _MINUS), (_MINUS, _DIGIT))]] = True
+# decimal digits that fit an int64 sum; parse takes a longer nonzero index
+# as out of range
+_MAX_DIGITS = 18
+
+
+def _chunks(items, size, limit: int):
+    """Consecutive runs of ``items`` whose ``size`` adds up to about ``limit``."""
+    group, total = [], 0
+    for item in items:
+        group.append(item)
+        total += size(item)
+        if total >= limit:
+            yield group
+            group, total = [], 0
+    if group:
+        yield group
+
+
+def _format_layers(layers, wires: int) -> str:
+    """Text lines of nonempty layers: every wire index is written as its
+    digits and a separator ('>' after a control, ' ' or '\\n' after a
+    target) into one row of a byte table, and the unused leading digit
+    cells are masked out."""
+    counts = np.fromiter(map(len, layers), dtype=np.int64, count=len(layers))
+    pairs = np.concatenate([l.pairs for l in layers])
+    layer_of = np.repeat(np.arange(len(layers), dtype=np.int64), counts)
+    if len(layers) * wires * wires < 1 << 63:  # (layer, control, target) as one exact key
+        order = np.argsort((layer_of * wires + pairs[:, 0]) * wires + pairs[:, 1])
+    else:
+        order = np.lexsort((pairs[:, 1], pairs[:, 0], layer_of))
+    v = pairs[order].ravel().astype(np.uint32 if wires <= 1 << 32 else np.uint64)
+    ndig = len(str(int(v.max())))
+    table = np.empty((v.size, ndig + 1), dtype=np.uint8)
+    q = v
+    for j in range(ndig - 1, -1, -1):
+        np.add(q % 10, ord("0"), out=table[:, j], casting="unsafe")
+        q = q // 10
+    sep = table[:, ndig]
+    sep[0::2] = ord(">")
+    sep[1::2] = ord(" ")
+    sep[2 * np.cumsum(counts) - 1] = ord("\n")
+    keep = np.ones(table.shape, dtype=bool)
+    keep[:, : ndig - 1] = v[:, None] >= 10 ** np.arange(ndig - 1, 0, -1, dtype=np.uint64)
+    return table[keep].tobytes().decode("ascii")
+
 
 def format_circuit(c: Circuit) -> str:
-    lines = [f"CNOTC v1 wires={c.wires} data={c.data}"]
-    for layer in c.layers:
-        lines.append(" ".join(f"{ctl}>{tgt}" for ctl, tgt in layer.canonical()))
-    return "\n".join(lines) + "\n"
+    parts = [f"CNOTC v1 wires={c.wires} data={c.data}\n"]
+    for group in _chunks(c.layers, len, _CHUNK_GATES):
+        parts.append(_format_layers(group, c.wires))
+    return "".join(parts)
+
+
+def _bad_token(buf: np.ndarray, at: int, first_layer: int) -> ValueError:
+    """The error for the gate token that holds byte ``at`` of ``buf``."""
+    blank = np.flatnonzero(np.take(_BYTE_CLASS, buf) == _BLANK)
+    k = np.searchsorted(blank, at)
+    lo = int(blank[k - 1]) + 1 if k else 0
+    hi = int(blank[k]) if k < blank.size else buf.size
+    tok = buf[lo:hi].tobytes().decode("utf-8", "replace")
+    layer = first_layer + int(np.count_nonzero(buf[:lo] == ord("\n")))
+    return ValueError(f"bad gate {tok!r} in layer {layer}")
+
+
+def _parse_layers(lines: list, wires: int, first_layer: int) -> list:
+    """Layers from their text lines (stripped, nonempty, not comments).
+
+    Each token must read [-]digits>[-]digits.  The byte classes are checked
+    pairwise, then the digit runs must end alternately in '>' and in a
+    blank, so every token holds exactly two runs: one gate.  The runs are
+    summed by place value.
+    """
+    buf = np.frombuffer("\n".join(lines).encode("utf-8"), dtype=np.uint8)
+    cls = np.zeros(buf.size + 2, dtype=np.uint8)  # blank before and after
+    np.take(_BYTE_CLASS, buf, out=cls[1:-1])
+    bad = ~np.take(_FOLLOWS, 5 * cls[:-1] + cls[1:])
+    if bad.any():
+        i = int(np.argmax(bad))  # the pair (byte i-1, byte i)
+        raise _bad_token(buf, i if i < buf.size and cls[i + 1] != _BLANK else i - 1, first_layer)
+    edge = np.diff((cls == _DIGIT).view(np.int8))
+    starts = np.flatnonzero(edge == 1)  # byte index of each run's first digit
+    ends = np.flatnonzero(edge == -1)  # byte index just past each run
+    after = cls[ends + 1]
+    wrong = np.empty(starts.size, dtype=bool)
+    wrong[0::2] = after[0::2] != _ARROW
+    wrong[1::2] = after[1::2] != _BLANK
+    if wrong.any():
+        raise _bad_token(buf, int(starts[np.argmax(wrong)]), first_layer)
+
+    length = ends - starts
+    vals = np.zeros(starts.size, dtype=np.int64)
+    huge = np.zeros(starts.size, dtype=bool)
+    for k in range(int(length.max())):
+        digit = np.where(length > k, buf[np.maximum(ends - 1 - k, starts)] - ord("0"), 0)
+        if k < _MAX_DIGITS:
+            vals += digit.astype(np.int64) * 10**k
+        else:
+            huge |= digit != 0
+    if ((starts > 0) & (buf[starts - 1] == ord("-")) & ((vals != 0) | huge)).any():
+        raise MalformedLayer("negative wire index")
+    if huge.any() or (vals >= wires).any():
+        raise MalformedLayer("gate outside wire range")
+    pairs = vals.reshape(-1, 2)
+    if (pairs[:, 0] == pairs[:, 1]).any():
+        raise MalformedLayer("gate with control == target")
+    # gates before each line break, then the gate count of each line
+    cuts = np.searchsorted(starts[0::2], np.flatnonzero(buf == ord("\n")))
+    counts = np.diff(cuts, prepend=0, append=pairs.shape[0])
+    line_of = np.repeat(np.arange(len(lines), dtype=np.int64), 2 * counts)
+    if len(lines) * wires < 1 << 63:  # (line, wire) as one exact key
+        keys = np.sort(line_of * wires + vals)
+        shared = keys[1:] == keys[:-1]
+    else:
+        order = np.lexsort((vals, line_of))
+        shared = (vals[order[1:]] == vals[order[:-1]]) & (line_of[order[1:]] == line_of[order[:-1]])
+    if shared.any():
+        raise MalformedLayer("gates share a wire")
+    stops = np.cumsum(counts).tolist()
+    return [trusted_layer(pairs[e - k : e]) for k, e in zip(counts.tolist(), stops)]
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -269,10 +401,6 @@ def parse_circuit(text: str) -> Circuit:
         raise ValueError(f"bad header: {lines[0]!r}")
     wires, data = int(fields["wires"]), int(fields["data"])
     layers = []
-    for ln in lines[1:]:
-        gates = []
-        for tok in ln.split():
-            cs, _, ts = tok.partition(">")
-            gates.append((int(cs), int(ts)))
-        layers.append(Layer(gates))
+    for group in _chunks(lines[1:], len, _CHUNK_BYTES):
+        layers.extend(_parse_layers(group, wires, len(layers)))
     return Circuit(wires, data, layers)

@@ -80,9 +80,12 @@ class F2Matrix:
 
     @classmethod
     def from_rows(cls, rows_bits, cols: int) -> "F2Matrix":
-        """Build from an iterable of per-row integer bitmasks."""
+        """Build from a sequence of per-row integer bitmasks; bits at or
+        past ``cols`` are dropped."""
         out = np.zeros((len(rows_bits), _nwords(cols)), dtype=np.uint64)
+        keep = (1 << cols) - 1
         for i, bits in enumerate(rows_bits):
+            bits &= keep
             w = 0
             while bits:
                 out[i, w] = np.uint64(bits & 0xFFFFFFFFFFFFFFFF)
@@ -115,8 +118,7 @@ class F2Matrix:
             and np.array_equal(self.words, other.words)
         )
 
-    def __hash__(self):  # pragma: no cover - mutables share identity semantics
-        return NotImplemented
+    __hash__ = None  # equality is by value
 
     def __repr__(self) -> str:
         return f"F2Matrix({self.rows}x{self.cols})"
@@ -472,11 +474,15 @@ def parse_matrix(text: str) -> F2Matrix:
     if len(head) != 2:
         raise ValueError(f"bad header: {lines[0]!r}")
     rows, cols = int(head[0]), int(head[1])
-    if len(lines) != rows + 1:
-        raise ValueError(f"expected {rows} rows, found {len(lines) - 1}")
-    d = np.zeros((rows, cols), dtype=np.uint8)
-    for i, ln in enumerate(lines[1:]):
-        if len(ln) != cols or set(ln) - {"0", "1"}:
-            raise ValueError(f"bad row {i}: {ln!r}")
-        d[i] = np.frombuffer(ln.encode(), dtype=np.uint8) - ord("0")
-    return F2Matrix.from_dense(d)
+    body = lines[1:]
+    if len(body) != rows:
+        raise ValueError(f"expected {rows} rows, found {len(body)}")
+    bad = np.fromiter(map(len, body), dtype=np.int64, count=rows) != cols
+    if not bad.any():
+        # non-ASCII characters become '?', which is not a bit either
+        d = np.frombuffer("".join(body).encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+        bad = (d.reshape(rows, cols) > 1).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"bad row {i}: {body[i]!r}")
+    return F2Matrix.from_dense(d.reshape(rows, cols))

@@ -20,6 +20,14 @@ from cnotsynth import (
 )
 
 
+def format_circuit_ref(c):
+    """The text format written one gate at a time."""
+    lines = [f"CNOTC v1 wires={c.wires} data={c.data}"]
+    for layer in c.layers:
+        lines.append(" ".join(f"{ctl}>{tgt}" for ctl, tgt in layer.canonical()))
+    return "\n".join(lines) + "\n"
+
+
 def random_circuit(wires, depth, seed):
     rng = np.random.default_rng(seed)
     layers = []
@@ -153,3 +161,49 @@ class TestTextFormat:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             parse_circuit("CNOTC v2 wires=3 data=2\n")
+
+    @pytest.mark.parametrize("wires, depth", [(12000, 8), (20000, 5), (100, 3000), (2, 3)])
+    def test_round_trip_many_chunks(self, wires, depth):
+        # 5-digit wire indices, and more gates (or layers) than one chunk holds
+        c = random_circuit(wires, depth, wires)
+        text = format_circuit(c)
+        assert text == format_circuit_ref(c)
+        assert parse_circuit(text) == c
+
+    def test_round_trip_huge_wire_indices(self):
+        big = 1 << 40
+        c = Circuit(big, big, [[(big - 1, 0), (7, 5)], [(3, 123456789012)]])
+        text = format_circuit(c)
+        assert text == format_circuit_ref(c)
+        assert parse_circuit(text) == c
+
+    def test_shared_wire_found_for_any_wire_count(self):
+        head = f"CNOTC v1 wires={1 << 62} data=2\n"
+        body = "0>1\n1>0 5>4\n123456789012345678>0\n"
+        c = parse_circuit(head + body)
+        assert c.depth == 3 and c.layers[2].gates == ((123456789012345678, 0),)
+        with pytest.raises(MalformedLayer):
+            parse_circuit(head + body + "0>1 1>3\n")
+
+    def test_line_endings_and_padding(self):
+        text = "# head\r\nCNOTC v1 wires=4 data=4\r\n\r\n  # c\r\n0>1 2>3  \r\n\t3>0\t1>2 \n\n"
+        c = parse_circuit(text)
+        assert c == Circuit(4, 4, [[(0, 1), (2, 3)], [(3, 0), (1, 2)]])
+        assert parse_circuit("CNOTC v1 wires=3 data=3\n0>0001\n-0>2\n") == Circuit(3, 3, [[(0, 1)], [(0, 2)]])
+
+    @pytest.mark.parametrize(
+        "body",
+        ["0>1 1>2", "1>1", "-1>2", "0>4", "3>99999999999999999999999", "0>1\n2>3 3>2"],
+    )
+    def test_malformed_layer(self, body):
+        with pytest.raises(MalformedLayer):
+            parse_circuit("CNOTC v1 wires=4 data=4\n" + body + "\n")
+
+    @pytest.mark.parametrize(
+        "body",
+        ["0>x", "01", "1>2>3", ">1", "1>", "0> 1", "0>1 - 2>3", "0-1", "0>1#", "+1>2", "1_0>2",
+         "\uff11>2", "0>1 2>3\n0>1 caf\u00e9"],
+    )
+    def test_bad_token(self, body):
+        with pytest.raises(ValueError, match="bad gate"):
+            parse_circuit("CNOTC v1 wires=4 data=4\n" + body + "\n")

@@ -209,11 +209,40 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_matrix("2 2\n10\n2x\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 2\n10\n", "expected 2 rows, found 1"),
+            ("2 2\n10\n11\n01\n", "expected 2 rows, found 3"),
+            ("3 2\n10\n110\n01\n", "bad row 1: '110'"),
+            ("3 2\n10\n11\n0\n", "bad row 2: '0'"),
+            ("2 2\n10\n1x\n", "bad row 1: '1x'"),
+            ("2 2\n1\u00e9\n11\n", "bad row 0: '1\u00e9'"),
+            ("2 2\n1 \n11\n", "bad row 0: '1'"),
+        ],
+    )
+    def test_errors_name_the_row(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_matrix(text)
+
+    def test_crlf_and_padding_spaces(self):
+        text = "2 3\r\n  101 \r\n011\t\r\n"
+        assert parse_matrix(text) == F2Matrix.from_dense([[1, 0, 1], [0, 1, 1]])
+
 
 class TestStorage:
     def test_padding_bits_zero(self):
         m = F2Matrix.from_dense(np.ones((3, 65), dtype=np.uint8))
         assert m.words[:, 1].max() == 1  # only bit 64 set in the second word
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(F2Matrix.identity(2))
+
+    def test_from_rows_drops_bits_past_cols(self):
+        assert F2Matrix.from_rows([0b111], 2) == F2Matrix.from_dense([[1, 1]])
+        wide = F2Matrix.from_rows([(1 << 200) | (1 << 64) | 1, 1 << 70], 65)
+        assert wide == F2Matrix.from_dense([[1] + [0] * 63 + [1], [0] * 65])
 
     def test_get(self):
         m = F2Matrix.from_dense([[0, 1], [1, 0]])
