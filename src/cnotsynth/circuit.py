@@ -218,6 +218,70 @@ def invert_circuit(c: Circuit) -> Circuit:
     return Circuit(c.wires, c.data, tuple(reversed(c.layers)))
 
 
+def _stable_order(keys: np.ndarray, nkeys: int) -> np.ndarray:
+    """Stable argsort of integer keys in [0, nkeys): least significant
+    digit first radix sort over 16-bit digits (numpy radix-sorts 16-bit
+    integers, which beats its merge sort on wider ones)."""
+    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    shift = 16
+    while (nkeys - 1) >> shift > 0:
+        digit = ((keys[order] >> shift) & 0xFFFF).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
+def level_asap(layers: list, wires: int) -> None:
+    """Relayer a gate sequence as soon as possible, in place.
+
+    ``layers`` holds (control, target) arrays in the order they are
+    applied; the gates of one array share no wire.  Each gate goes one
+    level past the last level that touched either of its wires.  Every
+    wire keeps its sequence of gates, and gates on disjoint wires commute,
+    so the circuit's matrix is unchanged; the depth is the longest chain
+    of gates linked by shared wires, which no schedule that keeps each
+    wire's sequence can beat.
+
+    ``layers`` ends up holding one int64 array per level, in level order,
+    with the gates of a level in sequence order.  Each input array is
+    dropped from the list once its gates are moved, so the gates are held
+    about once, not twice.
+    """
+    sizes = [len(arr) for arr in layers]
+    total = sum(sizes)
+    last = np.zeros(wires, dtype=np.int32)  # level of the latest gate per wire
+    level = np.empty(total, dtype=np.int32)
+    at = 0
+    for arr, k in zip(layers, sizes):
+        if k:
+            ends = last[arr]
+            lv = np.maximum(ends[:, 0], ends[:, 1], out=level[at : at + k])
+            lv += 1
+            last[arr] = lv[:, None]
+            at += k
+    depth = int(last.max(initial=0))
+    # one array per level, filled a group of input layers at a time: the
+    # group's gates are sorted by level and each run copied to its array
+    out = [np.empty((k, 2), dtype=np.int64) for k in np.bincount(level)[1:].tolist()]
+    fill = [0] * depth
+    at = 0
+    for group in _chunks(range(len(layers)), sizes.__getitem__, _CHUNK_GATES):
+        part = np.concatenate([layers[i] for i in group], dtype=np.int64)
+        for i in group:
+            layers[i] = None
+        lv = level[at : at + len(part)]
+        order = _stable_order(lv, depth + 1)
+        part = np.take(part, order, axis=0)
+        lv = lv[order]
+        starts = np.flatnonzero(np.diff(lv, prepend=0))  # levels start at 1
+        bounds = starts.tolist() + [len(part)]
+        for dst, lo, hi in zip((lv[starts] - 1).tolist(), bounds, bounds[1:]):
+            out[dst][fill[dst] : fill[dst] + hi - lo] = part[lo:hi]
+            fill[dst] += hi - lo
+        at += len(part)
+    layers[:] = out
+
+
 def merge_independent_schedules(a: Circuit, b: Circuit) -> Circuit:
     """Overlay two circuits on disjoint wire sets layer-by-layer.
 

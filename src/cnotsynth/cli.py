@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -94,12 +95,28 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 3
 
 
+def _fits_text(log2_value: float) -> bool:
+    """Whether an integer with this base-2 logarithm converts to decimal
+    text within Python's digit limit, decided without building it; a value
+    within 1e-9 of a power of ten counts as having the longer digit count."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return limit == 0 or math.floor(log2_value * math.log10(2) + 1e-9) + 1 <= limit
+
+
 def cmd_bounds(args) -> int:
-    out = {
-        "gl_count": bounds_mod.gl_count(args.n),
-        "layer_count": bounds_mod.layer_count(args.n + args.m),
-        "counting_bound": bounds_mod.counting_depth_bound(args.n, args.m),
-    }
+    """The counting bound with the base-2 logarithms of both counts; the
+    exact counts too, where Python can print them."""
+    bound = bounds_mod.counting_depth_bound(args.n, args.m)
+    log2_gl = bounds_mod._log2_gl_count(args.n)
+    log2_layers = bounds_mod._log2_layer_count(args.n + args.m)
+    out = {}
+    if _fits_text(log2_gl):
+        out["gl_count"] = bounds_mod.gl_count(args.n)
+    if _fits_text(log2_layers):
+        out["layer_count"] = bounds_mod.layer_count(args.n + args.m)
+    out["log2_gl_count"] = f"{log2_gl:.3f}"
+    out["log2_layer_count"] = f"{log2_layers:.3f}"
+    out["counting_bound"] = bound
     if args.infile:
         out["fanin_bound"] = bounds_mod.fanin_depth_bound(parse_matrix(_read(args.infile)))
     _summary(**out)

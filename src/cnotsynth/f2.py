@@ -459,10 +459,11 @@ def random_gl(n: int, seed: int) -> F2Matrix:
 
 
 def format_matrix(m: F2Matrix) -> str:
-    d = m.to_dense()
-    lines = [f"{m.rows} {m.cols}"]
-    lines.extend("".join("1" if x else "0" for x in row) for row in d)
-    return "\n".join(lines) + "\n"
+    """Header "rows cols", then one line of '0'/'1' characters per row."""
+    text = np.empty((m.rows, m.cols + 1), dtype=np.uint8)
+    np.add(m.to_dense(), ord("0"), out=text[:, :-1])
+    text[:, -1] = ord("\n")
+    return f"{m.rows} {m.cols}\n" + text.tobytes().decode("ascii")
 
 
 def parse_matrix(text: str) -> F2Matrix:

@@ -27,10 +27,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Layer, trusted_layer
+from .circuit import Circuit, Layer, _stable_order, trusted_layer
 from .errors import BudgetExceeded, DimensionMismatch, LayoutError
 from .f2 import F2Matrix, invert
-from .synth_free import _split_by, _stable_order, permutation_layers
+from .synth_free import _split_by, permutation_layers
 
 _PLAIN_LIMIT = 3  # below this the four-Russians machinery cannot pay rent
 

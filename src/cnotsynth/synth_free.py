@@ -17,6 +17,11 @@ equal per stamp form a bounded-degree bipartite graph that is peeled into
 matchings, one parallel layer each.  A precomputed "layby" matrix B keeps
 every value's occurrence count per row and column small so the peeling
 stays shallow; the block is moved A -> B -> 0 in two traverses.
+
+A factor's reduction is emitted as one gate sequence: the base-case
+staircases in lock step, then the traverses, children before parents.
+synth_dnc levels its whole circuit as soon as possible (level_asap), so
+halves, stages and walk steps overlap wherever their wires are free.
 """
 
 from __future__ import annotations
@@ -28,35 +33,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, _xor_rows, trusted_layer
+from .circuit import Circuit, _stable_order, _xor_rows, level_asap, trusted_layer
 from .errors import (
     DimensionMismatch,
     LaybyFailure,
     NotLowerTriangular,
     NotUpperTriangular,
 )
-from .f2 import F2Matrix, _solve_unit_upper, plu_decompose
+from .f2 import F2Matrix, _nwords, _solve_unit_upper, plu_decompose
 from .matching import color_edges
 
 _BASE_SIZE = 64  # below this the recursion falls back to the staircase
 
 
 # ----------------------------------------------------------------------
-# grouping helpers shared by the schedule builders
+# grouping helper shared by the schedule builders
 # ----------------------------------------------------------------------
-
-
-def _stable_order(keys: np.ndarray, nkeys: int) -> np.ndarray:
-    """Stable argsort of integer keys in [0, nkeys): least significant
-    digit first radix sort over 16-bit digits (numpy radix-sorts 16-bit
-    integers, which beats its merge sort on wider ones)."""
-    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
-    shift = 16
-    while (nkeys - 1) >> shift > 0:
-        digit = ((keys[order] >> shift) & 0xFFFF).astype(np.uint16)
-        order = order[np.argsort(digit, kind="stable")]
-        shift += 16
-    return order
 
 
 def _split_by(keys: np.ndarray, rows: np.ndarray, nkeys: int) -> list:
@@ -123,29 +115,41 @@ def _invert_perm(perm: Sequence[int]) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _staircase_lower_layers(l: F2Matrix, base: int) -> list:
-    """Layer arrays clearing a unit lower triangular matrix to I.
+def _staircase_lower_layers(blocks: list) -> list:
+    """Layer arrays clearing unit lower triangular blocks to I in lock step.
 
+    ``blocks`` lists (first wire, matrix) pairs on disjoint wire ranges.
     Subdiagonal d is cleared in phase d with gates (c -> c+d) wherever the
     working entry (c+d, c) is 1; two such gates conflict exactly when their
     controls are d apart, so splitting each phase by the parity of c // d
-    gives at most two valid layers.  A phase pollutes only subdiagonals
-    deeper than the one it clears, and the last two phases are single
-    layers, hence at most 2n-3 layers in total.
+    gives at most two valid layers, each spanning every block.  A phase
+    pollutes only subdiagonals deeper than the one it clears, and the last
+    two phases are single layers, hence at most 2n-3 layers for blocks of
+    at most n rows.
+
+    The blocks' rows are stacked at a stride of the largest block, rows
+    past a smaller block's end left zero.  The row d below local row c is
+    then the block's own, a zero row, or a row j < c of the next block,
+    whose bit c is 0 (the working rows stay lower triangular), so phase d
+    reads one slice of the stack.
     """
-    n = l.rows
-    w = l.words.copy()
-    nw = w.shape[1]
-    cols = np.arange(n, dtype=np.int64)
-    diag = cols * nw + (cols >> 6)  # flat index of the word holding entry (c, c)
-    shift = (cols & 63).astype(np.uint64)
+    size = max(l.rows for _, l in blocks)
+    nw = _nwords(size)
+    n = size * len(blocks)
+    w = np.zeros((n, nw), dtype=np.uint64)
+    for i, (_, l) in enumerate(blocks):
+        w[i * size : i * size + l.rows, : l.words.shape[1]] = l.words
+    local = np.tile(np.arange(size, dtype=np.int64), len(blocks))
+    wire = np.repeat(np.asarray([base for base, _ in blocks], dtype=np.int64), size) + local
+    diag = np.arange(n, dtype=np.int64) * nw + (local >> 6)  # word holding local entry (c, c)
+    bit = np.left_shift(np.uint64(1), (local & 63).astype(np.uint64))
+    flat = w.reshape(-1)
     ctrls, dists = [], []
-    for d in range(1, n):
-        bits = (np.take(w.reshape(-1), diag[: n - d] + d * nw) >> shift[: n - d]) & np.uint64(1)
-        cand = np.flatnonzero(bits)
+    for d in range(1, size):
+        cand = np.flatnonzero(np.take(flat, diag[: n - d] + d * nw) & bit[: n - d])
         if cand.size == 0:
             continue
-        odd = (cand // d) & 1
+        odd = (local[cand] // d) & 1
         for sel in (cand[odd == 0], cand[odd == 1]):
             if sel.size:
                 _xor_rows(w, sel, sel + d)
@@ -154,7 +158,7 @@ def _staircase_lower_layers(l: F2Matrix, base: int) -> list:
     if not ctrls:
         return []
     sizes = [sel.size for sel in ctrls]
-    ctrl = np.concatenate(ctrls) + base
+    ctrl = wire[np.concatenate(ctrls)]
     gates = np.stack([ctrl, ctrl + np.repeat(dists, sizes)], axis=1)
     return np.split(gates, np.cumsum(sizes)[:-1])
 
@@ -174,11 +178,11 @@ def staircase_lower(l: F2Matrix) -> Circuit:
         raise DimensionMismatch("staircase needs a square matrix")
     if not l.is_unit_lower_triangular():
         raise NotLowerTriangular("expected unit lower triangular input")
-    return Circuit(l.rows, l.rows, [trusted_layer(a) for a in _staircase_lower_layers(l, 0)])
+    return Circuit(l.rows, l.rows, [trusted_layer(a) for a in _staircase_lower_layers([(0, l)])])
 
 
-def _staircase_upper_layers(u: F2Matrix, base: int) -> list:
-    return _flip_reverse(_staircase_lower_layers(u.transpose(), base))
+def _staircase_upper_layers(blocks: list) -> list:
+    return _flip_reverse(_staircase_lower_layers([(base, u.transpose()) for base, u in blocks]))
 
 
 # ----------------------------------------------------------------------
@@ -678,70 +682,68 @@ def _traverse_block(x: F2Matrix, top_base: int, bot_base: int, k: int, n_ctx: in
         vs = cc[order].tolist()
         left = strip_sizes[strip[order[starts]]].tolist()
         colours = [0] * rr.size
-        rounds = np.ones(starts.size, dtype=np.int64)
         for ci in np.flatnonzero(repeated).tolist():
             a, z = int(starts[ci]), int(ends[ci])
             colours[a:z] = color_edges(us[a:z], vs[a:z], left[ci], j_blocks)
-            rounds[ci] = max(colours[a:z]) + 1
         rnd = np.empty(rr.size, dtype=np.int64)
         rnd[order] = colours
-        # per stamp: its transition layers, then one layer per round up to
-        # the largest round count over its strips; a round the colouring
-        # leaves empty stays as an empty layer, since the parent's merge
-        # overlays layer lists index by index
-        stamp_rounds = np.zeros(period, dtype=np.int64)
-        np.maximum.at(stamp_rounds, cls[order[starts]] // k, rounds)
-        width = int(stamp_rounds.max())
+        # per stamp: its transition layers, then one layer per round
+        width = int(rnd.max()) + 1
         gates = np.stack([bot_base + cc * k + strip, top_base + rr], axis=1)
         key = stamp * width + rnd
         chunks = np.split(
             gates[_stable_order(key, period * width)],
             np.cumsum(np.bincount(key, minlength=period * width))[:-1],
         )
-        for t, n_rounds in enumerate(stamp_rounds.tolist()):
+        for t in range(period):
             layers.extend(trans_layers)
-            layers.extend(chunks[t * width : t * width + n_rounds])
+            layers.extend(c for c in chunks[t * width : (t + 1) * width] if c.size)
     return layers
 
 
-def _elim_upper_layers(u: F2Matrix, base: int, seed: int) -> list:
+def _elim_upper_layers(u: F2Matrix, base: int, seed: int, leaves: list, blocks: list) -> None:
+    """Collect the leaves of the recursion, as (first wire, block) pairs,
+    and the traverse layers of its inner nodes in post-order."""
     m = u.rows
     if m <= _BASE_SIZE:
-        return _staircase_upper_layers(u, base)
+        leaves.append((base, u))
+        return
     k = max(1, (m.bit_length() - 1) // 2)
     h2 = k * ((m // 2) // k)
     h1 = m - h2
     m1 = u.submatrix(0, h1, 0, h1)
-    m2 = u.submatrix(h1, m, h1, m)
-    a = u.submatrix(0, h1, h1, m)
-    left = _elim_upper_layers(m1, base, 2 * seed + 1)
-    right = _elim_upper_layers(m2, base + h1, 2 * seed + 2)
-    merged = [
-        np.concatenate([part for part in pair if part is not None])
-        for pair in _zip_pairs(left, right)
-    ]
-    x = _solve_unit_upper(m1, a)
-    merged.extend(_traverse_block(x, base, base + h1, k, m, seed))
-    return merged
+    _elim_upper_layers(m1, base, 2 * seed + 1, leaves, blocks)
+    _elim_upper_layers(u.submatrix(h1, m, h1, m), base + h1, 2 * seed + 2, leaves, blocks)
+    x = _solve_unit_upper(m1, u.submatrix(0, h1, h1, m))
+    blocks.extend(_traverse_block(x, base, base + h1, k, m, seed))
 
 
-def _zip_pairs(a: list, b: list):
-    for i in range(max(len(a), len(b))):
-        yield (a[i] if i < len(a) else None, b[i] if i < len(b) else None)
+def _dnc_upper_layers(u: F2Matrix, seed: int) -> list:
+    """The divide-and-conquer reduction of u as one gate sequence: every
+    base-case staircase in lock step, then the traverse blocks, children
+    before parents.  Each wire sees its gates in the order of the
+    recursion, so levelling the sequence gives a schedule no deeper than
+    running the halves side by side and the traverse after them."""
+    leaves, blocks = [], []
+    _elim_upper_layers(u, 0, seed, leaves, blocks)
+    return _staircase_upper_layers(leaves) + blocks
 
 
 def eliminate_upper_dnc(u: F2Matrix, seed: int = 0) -> Circuit:
     """Reduction circuit mapping a unit upper triangular matrix to I.
 
-    Recurses on the two diagonal halves (their schedules run merged on
-    disjoint wires), then clears the off-diagonal block via the layby /
-    lock-step walk / matching pipeline.  The simulated matrix is u^-1.
+    Recurses on the two diagonal halves, then clears the off-diagonal
+    block via the layby / lock-step walk / matching pipeline; the whole
+    reduction is levelled as soon as possible, so the halves run side by
+    side on their disjoint wires.  The simulated matrix is u^-1.
     """
     if u.rows != u.cols:
         raise DimensionMismatch("square matrix required")
     if not u.is_unit_upper_triangular():
         raise NotUpperTriangular("expected unit upper triangular input")
-    return Circuit(u.rows, u.rows, [trusted_layer(a) for a in _elim_upper_layers(u, 0, seed)])
+    layers = _dnc_upper_layers(u, seed)
+    level_asap(layers, u.rows)
+    return Circuit(u.rows, u.rows, [trusted_layer(a) for a in layers])
 
 
 # ----------------------------------------------------------------------
@@ -758,8 +760,8 @@ def synth_simple(m: F2Matrix) -> Circuit:
     """
     plu = plu_decompose(m)
     layers = [l.pairs for l in permutation_layers(_invert_perm(plu.perm)).layers]
-    layers.extend(_staircase_lower_layers(plu.lower, 0))
-    layers.extend(_staircase_upper_layers(plu.upper, 0))
+    layers.extend(_staircase_lower_layers([(0, plu.lower)]))
+    layers.extend(_staircase_upper_layers([(0, plu.upper)]))
     return Circuit(m.rows, m.rows, [trusted_layer(a) for a in reversed(layers)])
 
 
@@ -768,10 +770,13 @@ def synth_dnc(m: F2Matrix, seed: int = 0) -> Circuit:
 
     Same PLU skeleton as synth_simple, but both triangular factors are
     cleared by the divide-and-conquer parallel elimination (the lower one
-    through its transpose).
+    through its transpose).  The reversed reduction is levelled as one
+    gate sequence, so the stages overlap wherever their wires allow.
     """
     plu = plu_decompose(m)
     layers = [l.pairs for l in permutation_layers(_invert_perm(plu.perm)).layers]
-    layers.extend(_flip_reverse(_elim_upper_layers(plu.lower.transpose(), 0, seed)))
-    layers.extend(_elim_upper_layers(plu.upper, 0, seed + 1))
-    return Circuit(m.rows, m.rows, [trusted_layer(a) for a in reversed(layers)])
+    layers.extend(_flip_reverse(_dnc_upper_layers(plu.lower.transpose(), seed)))
+    layers.extend(_dnc_upper_layers(plu.upper, seed + 1))
+    layers.reverse()
+    level_asap(layers, m.rows)
+    return Circuit(m.rows, m.rows, [trusted_layer(a) for a in layers])

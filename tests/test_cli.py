@@ -1,7 +1,18 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
-from cnotsynth import F2Matrix, format_matrix, parse_circuit, random_gl, verify_implements
+from cnotsynth import (
+    F2Matrix,
+    format_matrix,
+    gl_count,
+    layer_count,
+    parse_circuit,
+    random_gl,
+    verify_implements,
+)
 from cnotsynth.cli import BenchRecord, bench_records, emit_csv, main, parse_csv
 
 
@@ -78,6 +89,27 @@ class TestBoundsOracleRandomTree:
     def test_bounds_gl2(self, capsys):
         assert run(["bounds", "--n", 2, "--m", 0]) == 0
         assert "gl_count=6" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n,m", [(120, 0), (4096, 28672)])
+    def test_bounds_any_n_fast(self, capsys, n, m):
+        t0 = time.perf_counter()
+        assert run(["bounds", "--n", n, "--m", m]) == 0
+        assert time.perf_counter() - t0 < 1.0
+        fields = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+        assert "gl_count" not in fields
+        assert float(fields["log2_gl_count"]) == pytest.approx(n * n - 1.7919, abs=1e-3)
+        assert int(fields["counting_bound"]) == {120: 37, 4096: 71}[n]
+
+    def test_bounds_prints_counts_that_fit(self, capsys):
+        # 119 gives 4292 digits, under Python's default limit of 4300
+        assert run(["bounds", "--n", 119, "--m", 2490]) == 0
+        fields = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+        assert int(fields["gl_count"]) == gl_count(119)
+        assert int(fields["layer_count"]) == layer_count(2609)
+        log2_layers = math.log2(layer_count(2609))
+        assert float(fields["log2_layer_count"]) == pytest.approx(log2_layers, abs=1e-3)
+        assert run(["bounds", "--n", 119, "--m", 2491]) == 0
+        assert "layer_count=" not in capsys.readouterr().out.replace("log2_layer_count=", "")
 
     def test_oracle_identity(self, workdir, capsys):
         assert run(["oracle", "--in", workdir / "id3.mat"]) == 0

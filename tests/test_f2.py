@@ -196,10 +196,26 @@ class TestRandomGl:
                 assert rank(random_gl(n, seed)) == n
 
 
+def format_matrix_ref(m):
+    """The per-element writer format_matrix replaced."""
+    lines = [f"{m.rows} {m.cols}"]
+    lines.extend("".join("1" if x else "0" for x in row) for row in m.to_dense())
+    return "\n".join(lines) + "\n"
+
+
 class TestTextFormat:
     def test_round_trip(self):
         m = random_gl(19, 2)
         assert parse_matrix(format_matrix(m)) == m
+
+    def test_text_matches_reference(self):
+        rng = np.random.default_rng(4)
+        mats = [random_gl(n, n) for n in (1, 2, 63, 64, 65, 130)]
+        mats += [F2Matrix.identity(7), F2Matrix.zeros(3, 70)]
+        shapes = ((5, 129), (200, 3), (1, 1))
+        mats += [F2Matrix.from_dense(rng.integers(0, 2, shape)) for shape in shapes]
+        for m in mats:
+            assert format_matrix(m) == format_matrix_ref(m)
 
     def test_comments_ignored(self):
         text = "# a matrix\n2 2\n10\n# interlude\n11\n"
