@@ -22,7 +22,6 @@ from .circuit import (
     apply_to_bits,
     format_circuit,
     invert_circuit,
-    merge_independent_schedules,
     parse_circuit,
     simulate_to_matrix,
     verify_implements,
@@ -39,7 +38,6 @@ from .errors import (
     NotUpperTriangular,
     SingularMatrix,
     TooLarge,
-    WireCollision,
 )
 from .f2 import (
     F2Matrix,

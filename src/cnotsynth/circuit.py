@@ -1,4 +1,4 @@
-"""Layered CNOT circuits: representation, simulation, verification, merging.
+"""Layered CNOT circuits: representation, simulation, verification, levelling.
 
 Conventions used everywhere:
   * wire indices are 0-based;
@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, MalformedLayer, WireCollision
+from .errors import DimensionMismatch, MalformedLayer, TooLarge
 from .f2 import F2Matrix, _extract_cols, _nwords
 
 
@@ -84,8 +84,9 @@ class Layer:
 
 def trusted_layer(arr: np.ndarray) -> Layer:
     """Layer from a gate array the builder already knows to be disjoint
-    (simulation-level verification still guards against builder bugs)."""
-    if arr.dtype != np.int64:
+    (simulation-level verification still guards against builder bugs).
+    int32 and int64 arrays are kept as they are."""
+    if arr.dtype != np.int64 and arr.dtype != np.int32:
         arr = arr.astype(np.int64)
     arr.setflags(write=False)
     return Layer((), _trusted=arr)
@@ -242,11 +243,16 @@ def level_asap(layers: list, wires: int) -> None:
     of gates linked by shared wires, which no schedule that keeps each
     wire's sequence can beat.
 
-    ``layers`` ends up holding one int64 array per level, in level order,
+    ``layers`` ends up holding one int32 array per level, in level order,
     with the gates of a level in sequence order.  Each input array is
     dropped from the list once its gates are moved, so the gates are held
-    about once, not twice.
+    about once, not twice, in half the bytes of int64.
+
+    Raises:
+        TooLarge: if ``wires`` >= 2^31, past what int32 indices hold.
     """
+    if wires >= 1 << 31:
+        raise TooLarge(f"{wires} wires exceed the int32 wire indices of a levelled circuit")
     sizes = [len(arr) for arr in layers]
     total = sum(sizes)
     last = np.zeros(wires, dtype=np.int32)  # level of the latest gate per wire
@@ -262,11 +268,11 @@ def level_asap(layers: list, wires: int) -> None:
     depth = int(last.max(initial=0))
     # one array per level, filled a group of input layers at a time: the
     # group's gates are sorted by level and each run copied to its array
-    out = [np.empty((k, 2), dtype=np.int64) for k in np.bincount(level)[1:].tolist()]
+    out = [np.empty((k, 2), dtype=np.int32) for k in np.bincount(level)[1:].tolist()]
     fill = [0] * depth
     at = 0
     for group in _chunks(range(len(layers)), sizes.__getitem__, _CHUNK_GATES):
-        part = np.concatenate([layers[i] for i in group], dtype=np.int64)
+        part = np.concatenate([layers[i] for i in group], dtype=np.int32)
         for i in group:
             layers[i] = None
         lv = level[at : at + len(part)]
@@ -282,27 +288,13 @@ def level_asap(layers: list, wires: int) -> None:
     layers[:] = out
 
 
-def merge_independent_schedules(a: Circuit, b: Circuit) -> Circuit:
-    """Overlay two circuits on disjoint wire sets layer-by-layer.
+def levelled_circuit(layers: list, wires: int, data: int) -> Circuit:
+    """The circuit of a gate sequence levelled as soon as possible.
 
-    Layer k of the result is the union of layer k of both inputs, so the
-    depth is max(depth a, depth b).
-    """
-    if a.wires != b.wires:
-        raise DimensionMismatch("merging circuits with different wire counts")
-    wa = np.unique(np.concatenate([l.wires() for l in a.layers])) if a.layers else np.empty(0, int)
-    wb = np.unique(np.concatenate([l.wires() for l in b.layers])) if b.layers else np.empty(0, int)
-    if np.intersect1d(wa, wb).size:
-        raise WireCollision("schedules touch overlapping wires")
-    layers = []
-    for i in range(max(a.depth, b.depth)):
-        parts = []
-        if i < a.depth:
-            parts.append(a.layers[i].pairs)
-        if i < b.depth:
-            parts.append(b.layers[i].pairs)
-        layers.append(Layer(np.concatenate(parts)))
-    return Circuit(a.wires, min(a.data, b.data), layers)
+    ``layers`` holds (control, target) arrays in the order the gates are
+    applied, the gates of one array on disjoint wires; it is consumed."""
+    level_asap(layers, wires)
+    return Circuit(wires, data, [trusted_layer(a) for a in layers])
 
 
 # ----------------------------------------------------------------------

@@ -17,10 +17,6 @@ class MalformedLayer(CnotSynthError):
     """A layer's gates do not touch pairwise-disjoint wires."""
 
 
-class WireCollision(CnotSynthError):
-    """Two schedules to be merged touch overlapping wire sets."""
-
-
 class NotLowerTriangular(CnotSynthError):
     """Input is not unit lower triangular."""
 
@@ -46,4 +42,5 @@ class MalformedTree(CnotSynthError):
 
 
 class TooLarge(CnotSynthError):
-    """Instance exceeds the size limit of an exact oracle."""
+    """Instance exceeds a size limit: the exact oracle's, or the int32 wire
+    indices of a levelled circuit."""

@@ -15,6 +15,12 @@ every target row under a schedule that never reuses a copy within a
 layer.  Everything except the written block is then restored by reversing
 the build layers, so pollution survives only in columns the ancilla
 contract leaves unconstrained.
+
+Every fragment is emitted as one gate sequence, stack after stack and
+group after group, and levelled once as soon as possible
+(circuit.levelled_circuit): stacks on disjoint wires run side by side, and
+a group's build overlaps the previous group's restore wherever their wires
+are free.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Layer, _stable_order, trusted_layer
+from .circuit import Circuit, _stable_order, levelled_circuit
 from .errors import BudgetExceeded, DimensionMismatch, LayoutError
 from .f2 import F2Matrix, invert
 from .synth_free import _split_by, permutation_layers
@@ -195,7 +201,7 @@ def gen_sparse(
     d = y.to_dense().astype(np.int64)
     vals = (d << np.arange(y.cols)).sum(axis=1)
     layers = _sparse_layers(vals, y.cols, list(controls), list(targets), list(scratch))
-    return Circuit(wires, wires, [trusted_layer(a) for a in layers])
+    return levelled_circuit(layers, wires, wires)
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +268,8 @@ def _stack_layers(y_dense, widths, ctrl_wires, tgt_wires, mach, c_cap, rng, with
     shift = np.arange(y_dense.shape[1]) - np.repeat(offs, widths)
     vals = np.add.reduceat(y_dense.astype(np.int64) << shift, offs, axis=1)
 
-    # step 1: P blocks of all nonzero kb-bit sums, all slices in parallel
+    # step 1: P blocks of all nonzero kb-bit sums, one template layer for
+    # all slices of a width at a time
     tmpls = [_p_template(kb) for kb in widths.tolist()]
     block_len = np.asarray([nz + s_len for _, nz, s_len in tmpls], dtype=np.int64)
     p_off = np.cumsum(block_len) - block_len
@@ -278,12 +285,7 @@ def _stack_layers(y_dense, widths, ctrl_wires, tgt_wires, mach, c_cap, rng, with
              mach[p_off[gs, None] + np.arange(block_len[gs[0]])]],
             axis=1,
         )
-        for i, arr in enumerate(tmpl):
-            out = wire_map[:, arr].reshape(-1, 2)
-            if i < len(step1):
-                step1[i] = np.concatenate([step1[i], out])
-            else:
-                step1.append(out)
+        step1.extend(wire_map[:, arr].reshape(-1, 2) for arr in tmpl)
 
     salt = rng.integers(0, c_cap, size=n_t)
 
@@ -374,7 +376,7 @@ def gen_ycol_with_plan(
             layers, plan = _stack_layers(
                 y.to_dense(), widths, controls, targets, machinery, copy_cap(n_ctx), rng,
             )
-            return Circuit(wires, wires, [trusted_layer(a) for a in layers]), plan
+            return levelled_circuit(layers, wires, wires), plan
         except LayoutError:
             if k == 1:
                 raise
@@ -421,7 +423,8 @@ def _fanin_layers(partial_bases: list, tgt_base: int, n_t: int) -> list:
 
 
 def _group_layers(dense_group, layout, ctrl_wires, tgt_base, k, rng):
-    """One group of <= s*2k^2 columns: s parallel stacks, then a fan-in."""
+    """One group of <= s*2k^2 columns: s stacks on disjoint wires, one
+    after another in the sequence, then a fan-in."""
     n, s = layout.n, layout.s
     work0 = 2 * n
     w1 = 2 * k * k
@@ -444,19 +447,15 @@ def _group_layers(dense_group, layout, ctrl_wires, tgt_base, k, rng):
         stacks.append((sub, int(tgts[0])))
     if len(stacks) == 1:
         return stacks[0][0]
-    merged = []
-    for li in range(max(len(sub) for sub, _ in stacks)):
-        merged.append(np.concatenate([sub[li] for sub, _ in stacks if li < len(sub)]))
+    build = [arr for sub, _ in stacks for arr in sub]
     fan = _fanin_layers([b for _, b in stacks], tgt_base, n)
-    return merged + fan + list(reversed(merged))
+    return build + fan + list(reversed(build))
 
 
 def _plain_layers(m_dense, ctrl_base, tgt_base) -> list:
-    layers = []
-    for c in range(m_dense.shape[1]):
-        for r in np.flatnonzero(m_dense[:, c]):
-            layers.append(np.array([[ctrl_base + c, tgt_base + int(r)]], dtype=np.int64))
-    return layers
+    """One gate per set bit, column by column, each gate its own array."""
+    cols, rows = np.nonzero(m_dense.T)
+    return list(np.stack([ctrl_base + cols, tgt_base + rows], axis=1)[:, None])
 
 
 def _embed_layers(m_dense, layout: AncillaLayout, ctrl_base: int, tgt_base: int, seed: int) -> list:
@@ -498,7 +497,7 @@ def gen_scols(y: F2Matrix, layout: AncillaLayout, seed: int = 0) -> Circuit:
         raise LayoutError("more columns than one group can hold")
     rng = np.random.default_rng(seed)
     layers = _group_layers(y.to_dense(), layout, list(range(y.cols)), n, k, rng)
-    return Circuit(layout.total_wires, layout.total_wires, [trusted_layer(a) for a in layers])
+    return levelled_circuit(layers, layout.total_wires, layout.total_wires)
 
 
 def embed_m(m: F2Matrix, layout: AncillaLayout, seed: int = 0) -> Circuit:
@@ -507,7 +506,7 @@ def embed_m(m: F2Matrix, layout: AncillaLayout, seed: int = 0) -> Circuit:
     if m.rows != layout.n or m.cols != layout.n:
         raise DimensionMismatch("matrix must be n x n")
     layers = _embed_layers(m.to_dense(), layout, 0, layout.n, seed)
-    return Circuit(layout.total_wires, layout.total_wires, [trusted_layer(a) for a in layers])
+    return levelled_circuit(layers, layout.total_wires, layout.total_wires)
 
 
 def synth_with_ancillae(m: F2Matrix, s: int, seed: int = 0) -> Circuit:
@@ -515,7 +514,8 @@ def synth_with_ancillae(m: F2Matrix, s: int, seed: int = 0) -> Circuit:
 
     Composition: embed M into the mirror block, embed M^-1 back onto the
     data block (mirror wires as controls), then swap the two n-wire blocks
-    with one transposition layer triple.
+    with one transposition layer triple; the whole sequence is levelled
+    once.
     """
     if m.rows != m.cols:
         raise DimensionMismatch("square matrix required")
@@ -528,4 +528,4 @@ def synth_with_ancillae(m: F2Matrix, s: int, seed: int = 0) -> Circuit:
     swap[:n] = np.arange(n, 2 * n)
     swap[n : 2 * n] = np.arange(n)
     layers += [l.pairs for l in permutation_layers(swap).layers]
-    return Circuit(layout.total_wires, n, [trusted_layer(a) for a in layers])
+    return levelled_circuit(layers, layout.total_wires, n)

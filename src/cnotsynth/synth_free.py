@@ -20,8 +20,9 @@ stays shallow; the block is moved A -> B -> 0 in two traverses.
 
 A factor's reduction is emitted as one gate sequence: the base-case
 staircases in lock step, then the traverses, children before parents.
-synth_dnc levels its whole circuit as soon as possible (level_asap), so
-halves, stages and walk steps overlap wherever their wires are free.
+Both pipelines level their whole circuit as soon as possible
+(circuit.levelled_circuit), so halves, stages and walk steps overlap
+wherever their wires are free.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, _stable_order, _xor_rows, level_asap, trusted_layer
+from .circuit import Circuit, _stable_order, _xor_rows, levelled_circuit, trusted_layer
 from .errors import (
     DimensionMismatch,
     LaybyFailure,
@@ -741,9 +742,7 @@ def eliminate_upper_dnc(u: F2Matrix, seed: int = 0) -> Circuit:
         raise DimensionMismatch("square matrix required")
     if not u.is_unit_upper_triangular():
         raise NotUpperTriangular("expected unit upper triangular input")
-    layers = _dnc_upper_layers(u, seed)
-    level_asap(layers, u.rows)
-    return Circuit(u.rows, u.rows, [trusted_layer(a) for a in layers])
+    return levelled_circuit(_dnc_upper_layers(u, seed), u.rows, u.rows)
 
 
 # ----------------------------------------------------------------------
@@ -756,13 +755,16 @@ def synth_simple(m: F2Matrix) -> Circuit:
 
     PLU-factors the input, clears each triangular factor with a staircase
     sweep (depth <= 2n-3 each) and the permutation with <= 6 layers, then
-    reverses the whole reduction so the result simulates ``m`` itself.
+    reverses the whole reduction so the result simulates ``m`` itself.  The
+    reversed reduction is levelled as one gate sequence, so the stages
+    overlap wherever their wires allow.
     """
     plu = plu_decompose(m)
     layers = [l.pairs for l in permutation_layers(_invert_perm(plu.perm)).layers]
     layers.extend(_staircase_lower_layers([(0, plu.lower)]))
     layers.extend(_staircase_upper_layers([(0, plu.upper)]))
-    return Circuit(m.rows, m.rows, [trusted_layer(a) for a in reversed(layers)])
+    layers.reverse()
+    return levelled_circuit(layers, m.rows, m.rows)
 
 
 def synth_dnc(m: F2Matrix, seed: int = 0) -> Circuit:
@@ -778,5 +780,4 @@ def synth_dnc(m: F2Matrix, seed: int = 0) -> Circuit:
     layers.extend(_flip_reverse(_dnc_upper_layers(plu.lower.transpose(), seed)))
     layers.extend(_dnc_upper_layers(plu.upper, seed + 1))
     layers.reverse()
-    level_asap(layers, m.rows)
-    return Circuit(m.rows, m.rows, [trusted_layer(a) for a in layers])
+    return levelled_circuit(layers, m.rows, m.rows)

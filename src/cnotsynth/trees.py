@@ -10,7 +10,10 @@ contract_tree alternates two moves per round: parents of two finished
 children fire directly (rake), and maximal chains of nodes each waiting
 only on one finished child collapse through a parallel-prefix block
 (compress).  Chains contribute O(log n) depth per round and the round
-count is logarithmic, giving O(log^2 n) overall.
+count is logarithmic, giving O(log^2 n) overall.  The rounds' gates form
+one sequence, chain after chain, levelled once as soon as possible
+(circuit.levelled_circuit), so chains on disjoint wires share layers and
+a round starts wherever the previous one has freed its wires.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Layer, trusted_layer
+from .circuit import Circuit, Layer, levelled_circuit, trusted_layer
 from .errors import MalformedTree
 
 _LEAF = "leaf"
@@ -214,39 +217,25 @@ def prefix_circuit(n: int) -> Circuit:
 # ----------------------------------------------------------------------
 
 
-def _merge_layer_lists(blocks: list) -> list:
-    out: list = []
-    for layers in blocks:
-        for i, arr in enumerate(layers):
-            if i < len(out):
-                out[i] = np.concatenate([out[i], arr])
-            else:
-                out.append(arr)
-    return out
-
-
 def _chain_layers(sites: list, collect: dict) -> list:
     """Emit one chain: fold each site's collected control values into it
     (balanced combine / add / uncombine keeps the controls intact), then a
     prefix block over the site wires in chain order."""
-    combine = []
+    fold = []
     emit = []
     for site in sites:
         cs = collect.get(site, [])
         if not cs:
             continue
-        rounds = []
         stride = 1
         while stride < len(cs):
             gates = [
                 (cs[i + stride], cs[i]) for i in range(0, len(cs) - stride, 2 * stride)
             ]
             if gates:
-                rounds.append(np.asarray(gates, dtype=np.int64))
+                fold.append(np.asarray(gates, dtype=np.int64))
             stride *= 2
-        combine.append(rounds)
         emit.append(np.asarray([(cs[0], site)], dtype=np.int64))
-    fold = _merge_layer_lists(combine)
     layers = fold + [np.concatenate(emit)] + list(reversed(fold))
     return layers + _prefix_layer_arrays(sites)
 
@@ -257,8 +246,8 @@ def contract_tree(t: CnotTree) -> Circuit:
     Per round, every pending node whose children are both finished anchors
     a maximal chain of ancestors each waiting only on one finished child;
     the chain's gates form a prefix structure over the wires where the
-    accumulator moves, plus per-site folds where it stays, and all chains
-    of a round share layers.
+    accumulator moves, plus per-site folds where it stays.  The chains'
+    gates are levelled once, as one sequence.
     """
     n = t.n_leaves
     nodes = t.nodes
@@ -287,7 +276,6 @@ def contract_tree(t: CnotTree) -> Circuit:
             v for v in pending if nodes[v][1] in done and nodes[v][2] in done
         ]
         assert ready, "no contractible node in a proper tree"
-        round_blocks = []
         new_done = {}  # committed only after the round: chains may not
         # consume siblings finished in the same round
         for v1 in sorted(ready):
@@ -322,10 +310,9 @@ def contract_tree(t: CnotTree) -> Circuit:
                     sites.append(site)
                     collect[site] = []
                 below = v
-            round_blocks.append(_chain_layers(sites, collect))
+            layers.extend(_chain_layers(sites, collect))
             for v in chain:
                 pending.discard(v)
             new_done[chain[-1]] = site
         done.update(new_done)
-        layers.extend(_merge_layer_lists(round_blocks))
-    return Circuit(max(n, 1), max(n, 1), [trusted_layer(a) for a in layers])
+    return levelled_circuit(layers, max(n, 1), max(n, 1))

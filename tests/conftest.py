@@ -27,6 +27,15 @@ def rand_tree(n, seed):
     return CnotTree.build(forest[0])
 
 
+def left_prefix_tree(n):
+    """Path tree with all labels L whose sequential gates are
+    (0->1), (1->2), ..., i.e. the prefix-XOR chain."""
+    nested = 0
+    for j in range(1, n):
+        nested = ("L", j, nested)
+    return CnotTree.build(nested)
+
+
 def all_ones_lower(n):
     return F2Matrix.from_dense(np.tril(np.ones((n, n), dtype=np.uint8)))
 

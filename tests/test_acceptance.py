@@ -87,6 +87,7 @@ def round_trip_results():
     return results, time.perf_counter() - t0
 
 
+@pytest.mark.slow
 def test_criterion_01_round_trip_exactness(round_trip_results):
     results, elapsed = round_trip_results
     bad = [r for r in results if not r["ok"]]
@@ -97,6 +98,7 @@ def test_criterion_01_round_trip_exactness(round_trip_results):
     assert elapsed < 300
 
 
+@pytest.mark.slow
 def test_criterion_02_simple_depth_caps(round_trip_results):
     t0 = time.perf_counter()
     results, _ = round_trip_results
@@ -169,6 +171,7 @@ def test_criterion_05_layby_bound():
     _report(5, "layby occurrence bound", t0, 60)
 
 
+@pytest.mark.slow
 def test_criterion_06_asymptotic_regime():
     t0 = time.perf_counter()
     ratios = {}

@@ -6,18 +6,18 @@ from cnotsynth import (
     F2Matrix,
     Layer,
     MalformedLayer,
-    WireCollision,
+    TooLarge,
     apply_to_bits,
     format_circuit,
     invert_circuit,
     mat_mul,
-    merge_independent_schedules,
     parse_circuit,
     random_gl,
     simulate_to_matrix,
     synth_simple,
     verify_implements,
 )
+from cnotsynth.circuit import level_asap, trusted_layer
 
 
 def format_circuit_ref(c):
@@ -118,34 +118,53 @@ class TestVerifyImplements:
             assert np.array_equal(out, expect)
 
 
-class TestMerge:
-    def test_merge_with_empty(self):
-        x = Circuit(4, 4, [[(0, 1)]])
-        merged = merge_independent_schedules(x, Circuit(4, 4))
-        assert merged.layers == x.layers
+class TestInt32Gates:
+    """Levelled circuits hold int32 gate arrays; everything reads them as it
+    reads int64 ones."""
 
-    def test_disjoint_union_single_layer(self):
-        a = Circuit(4, 4, [[(0, 1)]])
-        b = Circuit(4, 4, [[(2, 3)]])
-        merged = merge_independent_schedules(a, b)
-        assert merged.depth == 1 and merged.size == 2
+    @staticmethod
+    def both(c):
+        return [
+            Circuit(c.wires, c.data, [trusted_layer(l.pairs.astype(dt)) for l in c.layers])
+            for dt in (np.int32, np.int64)
+        ]
 
-    def test_collision_detected(self):
-        a = Circuit(4, 4, [[(0, 1)]])
-        b = Circuit(4, 4, [[(1, 2)]])
-        with pytest.raises(WireCollision):
-            merge_independent_schedules(a, b)
+    def test_trusted_layer_keeps_int32(self):
+        arr = np.array([[0, 1], [2, 3]], dtype=np.int32)
+        layer = trusted_layer(arr)
+        assert layer.pairs is arr and layer.pairs.dtype == np.int32
+        assert not layer.pairs.flags.writeable
+        assert trusted_layer(arr.astype(np.int16)).pairs.dtype == np.int64
 
-    def test_half_wire_sub_eliminations(self):
-        # two depth-3 circuits on wire halves of 8; merged depth stays 3 and
-        # the simulation equals the product of both halves in either order
-        a = Circuit(8, 8, [[(0, 1)], [(2, 3)], [(1, 2)]])
-        b = Circuit(8, 8, [[(4, 5)], [(6, 7)], [(5, 6)]])
-        merged = merge_independent_schedules(a, b)
-        assert merged.depth == 3
-        sa, sb = simulate_to_matrix(a), simulate_to_matrix(b)
-        sm = simulate_to_matrix(merged)
-        assert sm == mat_mul(sa, sb) and sm == mat_mul(sb, sa)
+    def test_layer_equality_across_dtypes(self):
+        a = trusted_layer(np.array([[4, 5], [0, 1]], dtype=np.int32))
+        assert a == Layer([(0, 1), (4, 5)])
+        assert Layer([(0, 1), (4, 5)]) == a
+        assert a != Layer([(0, 1), (4, 6)])
+
+    def test_text_round_trip_same_as_int64(self):
+        c32, c64 = self.both(random_circuit(300, 20, 5))
+        text = format_circuit(c32)
+        assert text == format_circuit(c64) == format_circuit_ref(c64)
+        assert parse_circuit(text) == c32 == c64
+
+    def test_simulation_and_verification_agree(self):
+        m = random_gl(40, 6)
+        c32, c64 = self.both(synth_simple(m))
+        assert simulate_to_matrix(c32) == simulate_to_matrix(c64) == m
+        assert verify_implements(c32, m) == verify_implements(c64, m)
+        assert verify_implements(c32, m).ok
+        x = np.random.default_rng(1).integers(0, 2, 40, dtype=np.uint8)
+        assert np.array_equal(apply_to_bits(c32, x), apply_to_bits(c64, x))
+
+    def test_level_asap_rejects_wires_past_int32(self, monkeypatch):
+        import cnotsynth.circuit as circuit
+
+        # any numpy call would fail here instead of allocating per wire
+        monkeypatch.setattr(circuit, "np", None)
+        for wires in (1 << 31, 1 << 40):
+            with pytest.raises(TooLarge):
+                level_asap([], wires)
 
 
 class TestTextFormat:

@@ -3,22 +3,33 @@
 ``level_asap`` must keep every wire's gate sequence, give wire-disjoint
 layers, leave no gate a level it could drop to, and keep the matrix.  The
 lock-step staircase must emit, per block, exactly the layers of the
-per-block staircase kept here as a reference.
+per-block staircase kept here as a reference.  Every synthesiser and
+fragment builder must return a circuit that levelling leaves as it is.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
 from cnotsynth import (
+    AncillaLayout,
     Circuit,
     F2Matrix,
     Layer,
+    contract_tree,
     eliminate_upper_dnc,
+    embed_m,
     format_circuit,
+    gen_ycol,
     mat_mul,
+    permutation_matrix,
     random_gl,
     simulate_to_matrix,
     synth_dnc,
+    synth_simple,
+    synth_with_ancillae,
+    tree_to_circuit_sequential,
     verify_implements,
 )
 from cnotsynth.circuit import _xor_rows, level_asap, trusted_layer
@@ -28,7 +39,7 @@ from cnotsynth.synth_free import (
     _flip_reverse,
     _staircase_lower_layers,
 )
-from conftest import rand_unit_lower, rand_unit_upper
+from conftest import left_prefix_tree, rand_tree, rand_unit_lower, rand_unit_upper
 
 
 def staircase_lower_ref(l, base):
@@ -215,3 +226,108 @@ def test_dnc_depth_not_above_overlay(n, seed):
     c = synth_dnc(m, seed=seed)
     assert verify_implements(c, m).ok
     assert c.depth <= PARENT_DNC_DEPTH[n, seed]
+
+
+# ----------------------------------------------------------------------
+# every method's output is levelled
+# ----------------------------------------------------------------------
+
+
+def structured_gl(kind, n):
+    if kind == "identity":
+        return F2Matrix.identity(n)
+    if kind == "all-ones":
+        return F2Matrix.from_dense(np.triu(np.ones((n, n), dtype=np.uint8)))
+    if kind == "permutation":
+        return permutation_matrix(np.random.default_rng(n).permutation(n).tolist())
+    return random_gl(n, n)
+
+
+def ycol_circuit(m, n):
+    """gen_ycol writing m's first columns into rows n..2n-1."""
+    w = min(n, 18)
+    y = F2Matrix.from_dense(m.to_dense()[:, :w])
+    return gen_ycol(y, list(range(w)), list(range(n, 2 * n)), list(range(2 * n, 4 * n)), n, seed=2)
+
+
+MATRIX_METHODS = {
+    "simple": lambda m, n: synth_simple(m),
+    "dnc": lambda m, n: synth_dnc(m, seed=1),
+    "ancilla_s1": lambda m, n: synth_with_ancillae(m, 1, seed=1),
+    "ancilla_s2": lambda m, n: synth_with_ancillae(m, 2, seed=1),
+    "embed_m": lambda m, n: embed_m(m, AncillaLayout.create(n, 1), seed=1),
+    "gen_ycol": ycol_circuit,
+}
+
+
+def assert_levelled(c):
+    """Every level is wire-disjoint, and levelling again changes no byte."""
+    for layer in c.layers:
+        Layer(layer.pairs)
+        assert layer.pairs.dtype == np.int32
+    again = [layer.pairs for layer in c.layers]
+    level_asap(again, c.wires)
+    relevelled = Circuit(c.wires, c.data, [trusted_layer(a) for a in again])
+    same = format_circuit(relevelled) == format_circuit(c)
+    assert same, f"levelling again changed the circuit: depth {c.depth} -> {relevelled.depth}"
+
+
+@pytest.mark.parametrize("n", [4, 65, 256])
+@pytest.mark.parametrize("kind", ["random", "identity", "all-ones", "permutation"])
+@pytest.mark.parametrize("method", sorted(MATRIX_METHODS))
+def test_matrix_methods_are_levelled(method, kind, n):
+    m = structured_gl(kind, n)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="ancilla scale")
+        c = MATRIX_METHODS[method](m, n)
+    assert_levelled(c)
+    if c.data == n:
+        assert verify_implements(c, m).ok
+
+
+@pytest.mark.parametrize("n", [4, 65, 256])
+@pytest.mark.parametrize("shape", ["random", "path"])
+def test_contract_tree_is_levelled(shape, n):
+    t = rand_tree(n, n) if shape == "random" else left_prefix_tree(n)
+    c = contract_tree(t)
+    assert_levelled(c)
+    assert simulate_to_matrix(c) == simulate_to_matrix(tree_to_circuit_sequential(t))
+
+
+# depth of the layer-overlay circuits that levelling replaced, after one
+# level_asap pass over them, for random_gl(n, seed) with the method's
+# seed = seed
+PARENT_LEVELLED_DEPTH = {
+    "simple": {(256, 0): 625, (256, 1): 621, (256, 2): 614, (1024, 1): 2507},
+    "ancilla_s1": {(256, 0): 504, (256, 1): 495, (256, 2): 498, (1024, 1): 1727},
+    "ancilla_s2": {(256, 0): 429, (256, 1): 426, (256, 2): 427, (1024, 1): 1380},
+}
+CEILING_SYNTH = {
+    "simple": lambda m, seed: synth_simple(m),
+    "ancilla_s1": lambda m, seed: synth_with_ancillae(m, 1, seed=seed),
+    "ancilla_s2": lambda m, seed: synth_with_ancillae(m, 2, seed=seed),
+}
+
+
+@pytest.mark.parametrize(
+    "method,n,seed", [(k, n, s) for k, v in PARENT_LEVELLED_DEPTH.items() for n, s in sorted(v)]
+)
+def test_depth_not_above_levelled_overlay(method, n, seed):
+    m = random_gl(n, seed)
+    c = CEILING_SYNTH[method](m, seed)
+    assert verify_implements(c, m).ok
+    assert c.depth <= PARENT_LEVELLED_DEPTH[method][n, seed]
+
+
+# the first three trees of acceptance criterion 11, rand_tree(n, trial):
+# (n, trial) -> depth of the layer-overlay contraction after one
+# level_asap pass
+PARENT_LEVELLED_TREE_DEPTH = {(460, 0): 16, (555, 1): 17, (534, 2): 17}
+
+
+@pytest.mark.parametrize("n,trial", sorted(PARENT_LEVELLED_TREE_DEPTH))
+def test_tree_depth_not_above_levelled_overlay(n, trial):
+    t = rand_tree(n, trial)
+    c = contract_tree(t)
+    assert simulate_to_matrix(c) == simulate_to_matrix(tree_to_circuit_sequential(t))
+    assert c.depth <= PARENT_LEVELLED_TREE_DEPTH[n, trial]

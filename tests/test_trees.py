@@ -14,16 +14,7 @@ from cnotsynth import (
     simulate_to_matrix,
     tree_to_circuit_sequential,
 )
-from conftest import all_ones_lower, rand_tree
-
-
-def left_prefix_tree(n):
-    """Path tree with all labels L whose sequential gates are
-    (0->1), (1->2), ..., i.e. the prefix-XOR chain."""
-    nested = 0
-    for j in range(1, n):
-        nested = ("L", j, nested)
-    return CnotTree.build(nested)
+from conftest import all_ones_lower, left_prefix_tree, rand_tree
 
 
 class TestTreeValidation:
