@@ -7,14 +7,15 @@ embeddings and a block swap:
     |0, Mx, 0>  --swap data/mirror-->  |Mx, 0, 0>.
 
 One embedding writes M's columns into its target rows group by group.  A
-group of s*2k^2 columns is handled by s parallel stacks of the
-four-Russians construction: each stack builds, for every k-bit column
+group of s*2k^2 columns is handled by s stacks of the four-Russians
+construction on disjoint wires: each stack builds, for every k-bit column
 slice, the block of all nonzero sums of its control rows (a "P block"),
 copies the popular sums a few times, and adds one copy per slice into
 every target row under a schedule that never reuses a copy within a
-layer.  Everything except the written block is then restored by reversing
-the build layers, so pollution survives only in columns the ancilla
-contract leaves unconstrained.
+layer.  Stack 0 adds straight into the target rows and undoes its
+machinery; stacks 1..s-1 add into partial blocks, which a fan-in adds into
+the target rows before their builds are reversed.  Pollution survives only
+in columns the ancilla contract leaves unconstrained.
 
 Every fragment is emitted as one gate sequence, stack after stack and
 group after group, and levelled once as soon as possible
@@ -61,7 +62,9 @@ def copy_cap(n: int) -> int:
 @dataclass(frozen=True)
 class AncillaLayout:
     """Wire regions for one embedding: n data wires, an n-wire mirror block
-    and a 3sn-wire work block."""
+    and a 3sn-wire work block.  Stack i of a column group owns the 3n work
+    wires from 2n + 3ni: stack 0's region is all machinery, and every other
+    stack's first n wires are its partial block."""
 
     n: int
     s: int
@@ -404,8 +407,10 @@ def gen_ycol(
 
 
 def _fanin_layers(partial_bases: list, tgt_base: int, n_t: int) -> list:
-    """Tree-add the s partial blocks into the target rows, then restore the
-    partials by reversing the tree."""
+    """Tree-add the partial blocks (none to s-1 of them) into the target
+    rows, then restore the partials by reversing the tree."""
+    if not partial_bases:
+        return []
     rows = np.arange(n_t, dtype=np.int64)
     combine = []
     stride = 1
@@ -423,33 +428,26 @@ def _fanin_layers(partial_bases: list, tgt_base: int, n_t: int) -> list:
 
 
 def _group_layers(dense_group, layout, ctrl_wires, tgt_base, k, rng):
-    """One group of <= s*2k^2 columns: s stacks on disjoint wires, one
-    after another in the sequence, then a fan-in."""
-    n, s = layout.n, layout.s
-    work0 = 2 * n
+    """One group of <= s*2k^2 columns, s stacks on disjoint wires: stack 0
+    pastes straight into the target rows and undoes its machinery; stacks
+    1..s-1 paste into partial blocks, fanned in before their builds reverse."""
+    n = layout.n
     w1 = 2 * k * k
-    cap = copy_cap(n)
-    pieces = _slice_widths(dense_group.shape[1], w1)
-    stacks = []
-    for i, width in enumerate(pieces):
+    direct, build, partials = [], [], []
+    for i, width in enumerate(_slice_widths(dense_group.shape[1], w1)):
         c0 = i * w1
-        if len(pieces) == 1:
-            tgts = np.arange(tgt_base, tgt_base + n)
-            mach = np.arange(work0, work0 + 3 * n)
+        region = 2 * n + 3 * n * i
+        if i == 0:
+            tgts, mach = np.arange(tgt_base, tgt_base + n), np.arange(region, region + 3 * n)
         else:
-            region = work0 + 3 * n * i
-            tgts = np.arange(region, region + n)
-            mach = np.arange(region + n, region + 3 * n)
+            tgts, mach = np.arange(region, region + n), np.arange(region + n, region + 3 * n)
+            partials.append(region)
         sub, _ = _stack_layers(
             dense_group[:, c0 : c0 + width], _slice_widths(width, k),
-            ctrl_wires[c0 : c0 + width], tgts, mach, cap, rng, with_undo=len(pieces) == 1,
+            ctrl_wires[c0 : c0 + width], tgts, mach, copy_cap(n), rng, with_undo=i == 0,
         )
-        stacks.append((sub, int(tgts[0])))
-    if len(stacks) == 1:
-        return stacks[0][0]
-    build = [arr for sub, _ in stacks for arr in sub]
-    fan = _fanin_layers([b for _, b in stacks], tgt_base, n)
-    return build + fan + list(reversed(build))
+        (build if i else direct).extend(sub)
+    return direct + build + _fanin_layers(partials, tgt_base, n) + list(reversed(build))
 
 
 def _plain_layers(m_dense, ctrl_base, tgt_base) -> list:
@@ -487,8 +485,8 @@ def _embed_layers(m_dense, layout: AncillaLayout, ctrl_base: int, tgt_base: int,
 
 def gen_scols(y: F2Matrix, layout: AncillaLayout, seed: int = 0) -> Circuit:
     """Fragment writing one column group ``y`` (n rows, <= s*2k^2 columns
-    against the first data wires) into the mirror rows via s parallel
-    stacks and an O(log s) fan-in."""
+    against the first data wires) into the mirror rows as _group_layers
+    does: stack 0 straight, stacks 1..s-1 through an O(log s) fan-in."""
     n = layout.n
     if y.rows != n:
         raise DimensionMismatch("y must have n rows")

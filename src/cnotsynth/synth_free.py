@@ -606,7 +606,7 @@ def _traverse_block(x: F2Matrix, top_base: int, bot_base: int, k: int, n_ctx: in
     equal-value entries of a strip are coloured into at most their
     bipartite degree of matchings by the matching module).  Strips whose
     value counts are already within the cap skip the layby and run a
-    single traverse.
+    single traverse; so does the whole block when the layby fails.
     """
     h1, h2 = x.rows, x.cols
     j_blocks = h2 // k
@@ -633,10 +633,13 @@ def _traverse_block(x: F2Matrix, top_base: int, bot_base: int, k: int, n_ctx: in
 
     b = vals.copy()
     laid = [] if direct else [i for i in range(k) if naturals[i]]
-    got = _layby_batch(
-        [vals[strip_rows[i]] for i in laid], nvals, cap,
-        [seed + 31 * i for i in laid], bound_zero=False, pin_zeros=True,
-    )
+    try:
+        got = _layby_batch(
+            [vals[strip_rows[i]] for i in laid], nvals, cap,
+            [seed + 31 * i for i in laid], bound_zero=False, pin_zeros=True,
+        )
+    except LaybyFailure:
+        laid = got = []  # the direct traverse always succeeds
     for i, b_i in zip(laid, got):
         b[strip_rows[i]] = b_i
     stage_targets = (vals ^ b, b)

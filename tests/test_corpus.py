@@ -29,12 +29,14 @@ METHODS = {
 # Each method's digest was re-pinned when it began levelling its whole gate
 # sequence as soon as possible: the same gates in fewer layers.  The
 # simple and ancilla digests equal those of the overlaid circuits they
-# replace, levelled afterwards.
+# replace, levelled afterwards.  ancilla_s2 was re-pinned again when each
+# column group's first stack began pasting straight into the target rows:
+# fewer gates, the same matrices.
 CORPUS_SHA256 = {
     "simple": "cf99b441326976c8172dc5aa5d622e7f938d8928d7cf53aeefab3ff309decf1f",
     "dnc": "320fc7a868143ab3613d0de0a255aeb4e42a3d0650ce144fac0ca07110fdaf83",
     "ancilla_s1": "613d5e1abb45c31deb23c02d6ed86abee0cb7885852c5d9fe6ecd67873c1df5a",
-    "ancilla_s2": "93b681f0dea5fa276b14c1d5f296a5eb5e05f1940a1283f64ba082af17edcf02",
+    "ancilla_s2": "1dd39f4b5a4b82c9f70e3f206674ff921b9f07c48be46d324cec83cfe3a99a5c",
 }
 
 

@@ -7,6 +7,8 @@ per-block staircase kept here as a reference.  Every synthesiser and
 fragment builder must return a circuit that levelling leaves as it is.
 """
 
+import hashlib
+import os
 import warnings
 
 import numpy as np
@@ -106,6 +108,21 @@ def check_levelled(seq, wires):
     assert simulate_to_matrix(after) == simulate_to_matrix(before)
     assert after.depth <= sum(1 for a in seq if len(a))
     return out
+
+
+def first_difference(texts):
+    """The first line where a text differs from texts[0], in one short
+    message: pytest's own diff of two whole circuit texts takes minutes."""
+    base = texts[0].splitlines()
+    for j, text in enumerate(texts[1:], 1):
+        lines = text.splitlines()
+        for i, (a, b) in enumerate(zip(base, lines)):
+            if a != b:
+                c = len(os.path.commonprefix([a, b]))
+                return f"text {j}, line {i + 1}, column {c + 1}: {b[c : c + 40]!r} != {a[c : c + 40]!r}"
+        if len(lines) != len(base):
+            return f"text {j} has {len(lines)} lines, text 0 has {len(base)}"
+    return "texts are equal"
 
 
 def structured_upper(kind, n):
@@ -212,8 +229,9 @@ class TestLockStepStaircase:
             format_circuit(Circuit(n, n, [trusted_layer(a) for a in levelled(seq + blocks, n)]))
             for seq in (per_leaf, _dnc_upper_layers(u, seed)[: -len(blocks)])
         ]
-        assert texts[0] == texts[1]
-        assert texts[1] == format_circuit(eliminate_upper_dnc(u, seed=seed))
+        texts.append(format_circuit(eliminate_upper_dnc(u, seed=seed)))
+        digests = [hashlib.sha256(t.encode()).hexdigest() for t in texts]
+        assert digests[0] == digests[1] == digests[2], first_difference(texts)
 
 
 # synth_dnc(random_gl(n, seed), seed=seed).depth before the levelling

@@ -19,7 +19,7 @@ from cnotsynth import (
     synth_with_ancillae,
     verify_implements,
 )
-from cnotsynth.synth_ancilla import _doubling_rounds, copy_cap
+from cnotsynth.synth_ancilla import _doubling_rounds, _pick_k, copy_cap
 
 
 def block(sim, rows, cols):
@@ -185,6 +185,29 @@ class TestGenScols:
             assert d[wv, wv] == 1 and d[wv].sum() == 1
 
 
+    @pytest.mark.parametrize("s", [2, 3])
+    @pytest.mark.parametrize("short", [0, 7])
+    def test_every_machinery_and_partial_wire_restored(self, s, short):
+        # stack 0 takes its whole region as machinery and pastes into the
+        # mirror rows; stacks 1..s-1 paste into partial blocks, the last one
+        # narrower by ``short`` columns.  Every row but the mirror rows is
+        # restored; the mirror rows gain y on the data columns, and only the
+        # work columns, zero under the ancilla contract, may pollute them.
+        n = 256
+        lay = AncillaLayout.create(n, s)
+        k = _pick_k(n, 2 * n)
+        width = s * 2 * k * k - short
+        rng = np.random.default_rng(10 * s + short)
+        y = F2Matrix.from_dense(rng.integers(0, 2, (n, width)))
+        c = gen_scols(y, lay, seed=s)
+        want = np.eye(lay.total_wires, dtype=np.uint8)
+        want[n : 2 * n, :width] ^= y.to_dense()
+        d = simulate_to_matrix(c).to_dense()
+        assert np.array_equal(d[: 2 * n, : 2 * n], want[: 2 * n, : 2 * n])
+        assert np.array_equal(d[2 * n :], want[2 * n :])
+        assert np.array_equal(d[:n], want[:n])
+
+
 class TestEmbed:
     def test_identity_block(self):
         n = 64
@@ -273,3 +296,24 @@ class TestSynthWithAncillae:
         assert np.array_equal(block(sim, range(n), range(n)), m.to_dense())
         assert not block(sim, range(n, c_full.wires), range(n)).any()
         assert np.array_equal(block(sim_f, lay.mirror_region, range(n)), m.to_dense())
+
+
+# synth_with_ancillae(random_gl(n, seed), s, seed=seed).size when every stack
+# of a group pasted into its own partial block and the group's whole build
+# was reversed; each group's first stack now pastes straight into the
+# target rows
+PARENT_GATES = {
+    2: {(256, 0): 92200, (256, 1): 92586, (256, 2): 92056, (1024, 1): 1081315},
+    4: {(256, 0): 93224, (256, 1): 93610, (256, 2): 93080, (1024, 1): 1091555},
+}
+GATE_RATIO = {2: 0.85, 4: 0.95}
+
+
+@pytest.mark.parametrize(
+    "s,n,seed", [(s, n, seed) for s, v in PARENT_GATES.items() for n, seed in sorted(v)]
+)
+def test_gates_below_parent(s, n, seed):
+    m = random_gl(n, seed)
+    c = synth_with_ancillae(m, s, seed=seed)
+    assert verify_implements(c, m).ok
+    assert c.size <= GATE_RATIO[s] * PARENT_GATES[s][n, seed]

@@ -244,3 +244,20 @@ class TestLaybyFailurePath:
                 assert np.array_equal(b, want)
             checked += 1
         assert checked >= 10
+
+    def test_dnc_falls_back_to_the_direct_traverse(self, monkeypatch):
+        # a layby that never meets its bound must not escape synth_dnc: the
+        # block is cleared by the direct traverse instead
+        import cnotsynth.synth_free as sf
+
+        tried = []
+
+        def stuck(strips, *args):
+            tried.append(len(strips))
+            return [None] * len(strips)
+
+        monkeypatch.setattr(sf, "_layby_attempts", stuck)
+        m = random_gl(256, 0)  # at least one block of it takes the layby
+        c = synth_dnc(m, seed=0)
+        assert tried
+        assert verify_implements(c, m).ok
