@@ -169,43 +169,27 @@ class TestGenScols:
         sim = simulate_to_matrix(c)
         assert np.array_equal(block(sim, lay.mirror_region, range(8)), y.to_dense())
 
-    @pytest.mark.parametrize("s", [2, 4])
+    @pytest.mark.parametrize("s", [2, 3, 4])
     def test_parallel_stacks_block_exact(self, s):
-        n = 256
-        lay = AncillaLayout.create(n, s)
-        k = 3  # _pick_k(256) = 3 slices of the column budget
-        width = min(n, s * 2 * k * k)
-        rng = np.random.default_rng(s)
-        y = F2Matrix.from_dense(rng.integers(0, 2, (n, width)))
-        c = gen_scols(y, lay, seed=s)
-        sim = simulate_to_matrix(c)
-        assert np.array_equal(block(sim, lay.mirror_region, range(width)), y.to_dense())
-        d = sim.to_dense()
-        for wv in lay.work_region:
-            assert d[wv, wv] == 1 and d[wv].sum() == 1
-
-
-    @pytest.mark.parametrize("s", [2, 3])
-    @pytest.mark.parametrize("short", [0, 7])
-    def test_every_machinery_and_partial_wire_restored(self, s, short):
         # stack 0 takes its whole region as machinery and pastes into the
         # mirror rows; stacks 1..s-1 paste into partial blocks, the last one
-        # narrower by ``short`` columns.  Every row but the mirror rows is
+        # full or 7 columns short.  Every row but the mirror rows is
         # restored; the mirror rows gain y on the data columns, and only the
         # work columns, zero under the ancilla contract, may pollute them.
         n = 256
         lay = AncillaLayout.create(n, s)
         k = _pick_k(n, 2 * n)
-        width = s * 2 * k * k - short
-        rng = np.random.default_rng(10 * s + short)
-        y = F2Matrix.from_dense(rng.integers(0, 2, (n, width)))
-        c = gen_scols(y, lay, seed=s)
-        want = np.eye(lay.total_wires, dtype=np.uint8)
-        want[n : 2 * n, :width] ^= y.to_dense()
-        d = simulate_to_matrix(c).to_dense()
-        assert np.array_equal(d[: 2 * n, : 2 * n], want[: 2 * n, : 2 * n])
-        assert np.array_equal(d[2 * n :], want[2 * n :])
-        assert np.array_equal(d[:n], want[:n])
+        for short in (0, 7):
+            width = s * 2 * k * k - short
+            rng = np.random.default_rng(10 * s + short)
+            y = F2Matrix.from_dense(rng.integers(0, 2, (n, width)))
+            c = gen_scols(y, lay, seed=s)
+            want = np.eye(lay.total_wires, dtype=np.uint8)
+            want[n : 2 * n, :width] ^= y.to_dense()
+            d = simulate_to_matrix(c).to_dense()
+            assert np.array_equal(d[: 2 * n, : 2 * n], want[: 2 * n, : 2 * n])
+            assert np.array_equal(d[2 * n :], want[2 * n :])
+            assert np.array_equal(d[:n], want[:n])
 
 
 class TestEmbed:
