@@ -4,14 +4,21 @@ One digest per method covers the matrix text and that method's
 ``format_circuit`` text over a fixed (n, seed) corpus.  A change meant to
 keep a method's circuits as they are must keep its digest; a change meant
 to alter them updates that digest alone and says so.
+
+A second digest covers every method on structured matrices, whose skewed
+value counts send the dnc blocks through the layby.
 """
 
 import hashlib
 import warnings
 
+import numpy as np
+
 from cnotsynth import (
+    F2Matrix,
     format_circuit,
     format_matrix,
+    permutation_matrix,
     random_gl,
     synth_dnc,
     synth_simple,
@@ -54,3 +61,49 @@ def test_circuit_bytes_unchanged():
                     digests[name].update(text)
                     digests[name].update(format_circuit(c).encode())
     assert {name: h.hexdigest() for name, h in digests.items()} == CORPUS_SHA256
+
+
+def _ones_upper(n):
+    return F2Matrix.from_dense(np.triu(np.ones((n, n), dtype=np.uint8)))
+
+
+def _half_block(n):
+    d = np.eye(n, dtype=np.uint8)
+    d[: n // 2, n // 2 :] = 1
+    return F2Matrix.from_dense(d)
+
+
+def _dense_upper(n, density):
+    d = np.triu((np.random.default_rng(n).random((n, n)) < density).astype(np.uint8), 1)
+    d[np.arange(n), np.arange(n)] = 1
+    return F2Matrix.from_dense(d)
+
+
+STRUCTURED = {
+    "ones_upper": _ones_upper,
+    "ones_lower": lambda n: _ones_upper(n).transpose(),
+    "half_block": _half_block,
+    "random_perm": lambda n: permutation_matrix(np.random.default_rng(n).permutation(n)),
+    "reversal": lambda n: permutation_matrix(np.arange(n)[::-1]),
+    "upper_1pct": lambda n: _dense_upper(n, 0.01),
+    "upper_99pct": lambda n: _dense_upper(n, 0.99),
+}
+
+# One digest over all four methods, seed 0, on the structured families at
+# sizes around the dnc base case and its first splits.
+STRUCTURED_SHA256 = "5d0a53438defc636f3d9f193ce4441202c4f015a03a3af348a955e0d37dbf637"
+
+
+def test_structured_circuit_bytes_unchanged():
+    digest = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="ancilla scale")
+        for n in (65, 127, 129, 300):
+            for family, make in STRUCTURED.items():
+                m = make(n)
+                digest.update(format_matrix(m).encode())
+                for name, synth in METHODS.items():
+                    c = synth(m, 0)
+                    assert verify_implements(c, m).ok, (name, family, n)
+                    digest.update(format_circuit(c).encode())
+    assert digest.hexdigest() == STRUCTURED_SHA256
