@@ -288,6 +288,29 @@ def level_asap(layers: list, wires: int) -> None:
     layers[:] = out
 
 
+def _pairs(ctrl: np.ndarray, tgt) -> np.ndarray:
+    """(control, target) gate array of the control wires and the target
+    wires broadcast to their shape."""
+    out = np.empty(ctrl.shape + (2,), dtype=np.int64)
+    out[..., 0], out[..., 1] = ctrl, tgt
+    return out.reshape(-1, 2)
+
+
+def _fold_layers(sources, target) -> list:
+    """Add the XOR of ``sources`` into ``target`` and leave the sources as
+    they were: a balanced tree combines source i + stride into source i,
+    source 0 is added to the target, and the tree is undone.  Each source
+    is a wire, or an array of wires parallel to the target's.  The first
+    half of the returned arrays is the combine, the middle one the add."""
+    src = np.asarray(sources, dtype=np.int64).reshape(len(sources), -1)
+    combine = []
+    stride = 1
+    while stride < len(src):
+        combine.append(_pairs(src[stride :: 2 * stride], src[: len(src) - stride : 2 * stride]))
+        stride *= 2
+    return combine + [_pairs(src[0], target)] + combine[::-1]
+
+
 def levelled_circuit(layers: list, wires: int, data: int) -> Circuit:
     """The circuit of a gate sequence levelled as soon as possible.
 

@@ -35,7 +35,8 @@ class F2Matrix:
         cols: Number of columns (>= 1).
         words: uint64 array of shape (rows, ceil(cols/64)); bit j of row i
             is ``(words[i, j >> 6] >> (j & 63)) & 1``.  Padding bits past
-            ``cols`` are kept zero.
+            ``cols`` must be zero.  It is a read-only view of the array
+            passed in, which the caller should not write to afterwards.
     """
 
     __slots__ = ("rows", "cols", "words")
@@ -45,10 +46,12 @@ class F2Matrix:
             raise DimensionMismatch(f"bad shape {rows}x{cols}")
         if words.shape != (rows, _nwords(cols)) or words.dtype != np.uint64:
             raise DimensionMismatch("packed storage does not match shape")
+        if cols & 63 and (words[:, -1] >> np.uint64(cols & 63)).any():
+            raise DimensionMismatch(f"padding bits past column {cols} are set")
         self.rows = rows
         self.cols = cols
-        self.words = words
-        words.setflags(write=False)
+        self.words = words.view()  # read-only without freezing the caller's array
+        self.words.setflags(write=False)
 
     # ------------------------------------------------------------------
     # construction

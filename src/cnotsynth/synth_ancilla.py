@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, _stable_order, levelled_circuit
+from .circuit import Circuit, _fold_layers, _stable_order, levelled_circuit
 from .errors import BudgetExceeded, DimensionMismatch, LayoutError
 from .f2 import F2Matrix, invert
 from .synth_free import _split_by, permutation_layers
@@ -412,19 +412,7 @@ def _fanin_layers(partial_bases: list, tgt_base: int, n_t: int) -> list:
     if not partial_bases:
         return []
     rows = np.arange(n_t, dtype=np.int64)
-    combine = []
-    stride = 1
-    while stride < len(partial_bases):
-        gates = []
-        for i in range(0, len(partial_bases) - stride, 2 * stride):
-            gates.append(
-                np.stack([partial_bases[i + stride] + rows, partial_bases[i] + rows], axis=1)
-            )
-        if gates:
-            combine.append(np.concatenate(gates))
-        stride *= 2
-    emit = [np.stack([partial_bases[0] + rows, tgt_base + rows], axis=1)]
-    return combine + emit + list(reversed(combine))
+    return _fold_layers([base + rows for base in partial_bases], tgt_base + rows)
 
 
 def _group_layers(dense_group, layout, ctrl_wires, tgt_base, k, rng):

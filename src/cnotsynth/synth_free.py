@@ -41,7 +41,7 @@ from .errors import (
     NotLowerTriangular,
     NotUpperTriangular,
 )
-from .f2 import F2Matrix, _nwords, _solve_unit_upper, plu_decompose
+from .f2 import F2Matrix, _nwords, _solve_unit_upper, plu_decompose, rank
 from .matching import color_edges
 
 _BASE_SIZE = 64  # below this the recursion falls back to the staircase
@@ -200,21 +200,6 @@ class TraversalSequence:
     mats: tuple
 
 
-def _rows_rank(rows: list, k: int) -> int:
-    w = list(rows)
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, k) if (w[i] >> c) & 1), None)
-        if piv is None:
-            continue
-        w[r], w[piv] = w[piv], w[r]
-        for i in range(k):
-            if i != r and (w[i] >> c) & 1:
-                w[i] ^= w[r]
-        r += 1
-    return r
-
-
 def row_traversal_sequence(k: int) -> TraversalSequence:
     """Generate a row-traversal sequence of length 3*2^(k-1) - k + 1.
 
@@ -233,10 +218,10 @@ def row_traversal_sequence(k: int) -> TraversalSequence:
             i = (v & -v).bit_length() - 1
             u = rows[i]
             rows[i] = 1 << i
-            if _rows_rank(rows, k) < k:  # e_i provably suffices; stay safe
+            if rank(F2Matrix.from_rows(rows, k)) < k:  # e_i provably suffices; stay safe
                 for j in range(k):
                     rows[i] = (1 << i) ^ (1 << j)
-                    if _rows_rank(rows, k) == k:
+                    if rank(F2Matrix.from_rows(rows, k)) == k:
                         break
             if u != 0:
                 aux = [1 << r for r in range(k)]
@@ -244,7 +229,7 @@ def row_traversal_sequence(k: int) -> TraversalSequence:
                 if not (u >> i) & 1:
                     j = (u & -u).bit_length() - 1
                     aux[j] = 1 << i
-                assert _rows_rank(aux, k) == k
+                assert rank(F2Matrix.from_rows(aux, k)) == k
                 out.append(aux)
         out.append(rows)
     out.append([1 << r for r in range(k)])
@@ -279,13 +264,18 @@ def _bincount_lines(vals: np.ndarray, nvals: int) -> tuple:
     return rows.reshape(r, nvals), cols.reshape(c, nvals)
 
 
-def _layby_attempts(strips, nvals, cap, seeds, bound_zero, pin_zeros):
+def _layby_pass(strips, nvals, cap, seeds, strict):
     """One seeded greedy pass per strip, all strips advanced together:
     entries are assigned in anti-diagonal waves (wave entries share no row
     or column of their strip, so decisions are independent) choosing the
     value with the least crowded row/column counters on both the B side
-    and the C = A xor B side.  Returns per strip its values, or None where
-    the repair pass gets stuck."""
+    and the C = A xor B side.
+
+    With ``strict`` every entry is chosen and every value counts against
+    ``cap``.  Otherwise zero entries stay zero and value 0, which emits no
+    gate, is neither counted nor penalised, so the cap only steers the
+    nonzero values.  Returns per strip its values and its counter tables
+    (B rows, B columns, C rows, C columns)."""
     r_sz = np.asarray([a.shape[0] for a in strips])
     c_sz = np.asarray([a.shape[1] for a in strips])
     r_off = np.cumsum(r_sz) - r_sz
@@ -298,12 +288,10 @@ def _layby_attempts(strips, nvals, cap, seeds, bound_zero, pin_zeros):
     cnt_cr = np.zeros_like(cnt_br)
     cnt_cc = np.zeros_like(cnt_bc)
     cands = np.arange(nvals)
-    frees, ent = [], []
+    ent = []
     for s, (avals, seed) in enumerate(zip(strips, seeds)):
         salt = np.random.default_rng(seed).integers(0, nvals, size=avals.shape)
-        free = avals != 0 if pin_zeros else np.ones(avals.shape, dtype=bool)
-        ii, jj = np.nonzero(free)
-        frees.append(free)
+        ii, jj = np.nonzero(np.ones(avals.shape, dtype=bool) if strict else avals)
         ent.append((ii + jj, np.full(ii.size, s), ii, jj, avals[ii, jj], salt[ii, jj]))
     wave, strip, ii, jj, a, salt = (np.concatenate(col) for col in zip(*ent))
     order = _stable_order(wave, int(wave.max(initial=0)) + 1)
@@ -319,7 +307,7 @@ def _layby_attempts(strips, nvals, cap, seeds, bound_zero, pin_zeros):
         xor_idx = cands[None, :] ^ aw[:, None]
         s_b = pen[cnt_br[i]] + pen[cnt_bc[j]]
         s_c = pen[cnt_cr[i[:, None], xor_idx]] + pen[cnt_cc[j[:, None], xor_idx]]
-        if not bound_zero:
+        if not strict:
             s_b[:, 0] = 0  # value 0 emits no gate, never penalise it
             s_c[np.arange(aw.size), aw] = 0
         tie = (cands[None, :] ^ salt[sl, None]) & 0x7
@@ -331,7 +319,6 @@ def _layby_attempts(strips, nvals, cap, seeds, bound_zero, pin_zeros):
         cnt_bc[j, v] += 1
         cnt_cr[i, cv] += 1
         cnt_cc[j, cv] += 1
-    lo = 0 if bound_zero else 1
     out = []
     for s, avals in enumerate(strips):
         bvals = np.zeros(avals.shape, dtype=np.int64)
@@ -339,15 +326,11 @@ def _layby_attempts(strips, nvals, cap, seeds, bound_zero, pin_zeros):
         bvals[ii[mine], jj[mine]] = bv[mine]
         rs = slice(r_off[s], r_off[s] + r_sz[s])
         cs = slice(c_off[s], c_off[s] + c_sz[s])
-        tables = (cnt_br[rs], cnt_bc[cs], cnt_cr[rs], cnt_cc[cs])
-        if all(t[:, lo:].max(initial=0) <= cap for t in tables):
-            out.append(bvals)
-        else:
-            out.append(_layby_repair(avals, bvals, tables, cap, lo, frees[s]))
+        out.append((bvals, (cnt_br[rs], cnt_bc[cs], cnt_cr[rs], cnt_cc[cs])))
     return out
 
 
-def _layby_repair(avals, bvals, tables, cap, lo, free):
+def _layby_repair(avals, bvals, tables, cap):
     """Move single entries of over-full (line, value) cells to values that
     create no new overflow; give up (returns None) when stuck."""
     cnt_br, cnt_bc, cnt_cr, cnt_cc = tables
@@ -355,9 +338,9 @@ def _layby_repair(avals, bvals, tables, cap, lo, free):
     for _ in range(2 * avals.size + 16):
         viol = None
         for axis, table in enumerate(tables):
-            bad = np.argwhere(table[:, lo:] > cap)
+            bad = np.argwhere(table > cap)
             if bad.size:
-                viol = (axis, int(bad[0, 0]), int(bad[0, 1]) + lo)
+                viol = (axis, int(bad[0, 0]), int(bad[0, 1]))
                 break
         if viol is None:
             return bvals
@@ -369,7 +352,7 @@ def _layby_repair(avals, bvals, tables, cap, lo, free):
             i_idx = np.arange(avals.shape[0])
             j_idx = np.full(avals.shape[0], line)
         cur = bvals[i_idx, j_idx] if axis < 2 else bvals[i_idx, j_idx] ^ avals[i_idx, j_idx]
-        hit = (cur == val) & free[i_idx, j_idx]
+        hit = cur == val
         moved = False
         for i, j in zip(i_idx[hit], j_idx[hit]):
             a, old = int(avals[i, j]), int(bvals[i, j])
@@ -381,12 +364,8 @@ def _layby_repair(avals, bvals, tables, cap, lo, free):
             for v in range(nvals):
                 if v == old:
                     continue
-                over = 0
-                if v >= lo:
-                    over += max(0, cnt_br[i, v] + 1 - cap) + max(0, cnt_bc[j, v] + 1 - cap)
-                if (v ^ a) >= lo:
-                    over += max(0, cnt_cr[i, v ^ a] + 1 - cap)
-                    over += max(0, cnt_cc[j, v ^ a] + 1 - cap)
+                over = max(0, cnt_br[i, v] + 1 - cap) + max(0, cnt_bc[j, v] + 1 - cap)
+                over += max(0, cnt_cr[i, v ^ a] + 1 - cap) + max(0, cnt_cc[j, v ^ a] + 1 - cap)
                 if over == 0:
                     choice = v
                     break
@@ -405,28 +384,15 @@ def _layby_repair(avals, bvals, tables, cap, lo, free):
     return None
 
 
-def _layby_values(avals, nvals, cap, seed, bound_zero=True, pin_zeros=False, tries=6):
-    return _layby_batch([avals], nvals, cap, [seed], bound_zero, pin_zeros, tries)[0]
-
-
-def _layby_batch(strips, nvals, cap, seeds, bound_zero, pin_zeros, tries=6):
-    """Layby values per strip; a strip whose pass fails is retried with a
-    reseeded pass, up to ``tries`` passes in all."""
-    out = [None] * len(strips)
-    todo = list(range(len(strips)))
+def _layby_values(avals, nvals, cap, seed, tries=6):
+    """Strict layby values for one strip: a greedy pass and the repair
+    pass, reseeded up to ``tries`` times in all."""
     for t in range(tries):
-        if not todo:
-            break
-        got = _layby_attempts(
-            [strips[s] for s in todo], nvals, cap,
-            [seeds[s] + 7919 * t for s in todo], bound_zero, pin_zeros,
-        )
-        for s, b in zip(todo, got):
-            out[s] = b
-        todo = [s for s in todo if out[s] is None]
-    if todo:
-        raise LaybyFailure(f"occurrence bound {cap} not met after {tries} attempts")
-    return out
+        [(bvals, tables)] = _layby_pass([avals], nvals, cap, [seed + 7919 * t], strict=True)
+        bvals = _layby_repair(avals, bvals, tables, cap)
+        if bvals is not None:
+            return bvals
+    raise LaybyFailure(f"occurrence bound {cap} not met after {tries} attempts")
 
 
 def _pack_values(vals: np.ndarray, k: int) -> F2Matrix:
@@ -461,7 +427,7 @@ def find_layby(strip: F2Matrix, n_ctx: int, seed: int = 0) -> LaybyPair:
         raise DimensionMismatch("strip larger than n_ctx / log2(n_ctx)")
     cap = layby_bound(n_ctx)
     avals = _unpack_values(strip, k)
-    bvals = _layby_values(avals, 1 << k, cap, seed, bound_zero=True)
+    bvals = _layby_values(avals, 1 << k, cap, seed)
     b = _pack_values(bvals, k)
     c_mat = F2Matrix(strip.rows, strip.cols, b.words ^ strip.words)
     return LaybyPair(b=b, c_mat=c_mat, k=k, bound=cap)
@@ -604,9 +570,12 @@ def _traverse_block(x: F2Matrix, top_base: int, bot_base: int, k: int, n_ctx: in
     Singer cycle and, per stamp, one layer per matching of super-entries
     whose value equals the walk state's row for their strip (the
     equal-value entries of a strip are coloured into at most their
-    bipartite degree of matchings by the matching module).  Strips whose
-    value counts are already within the cap skip the layby and run a
-    single traverse; so does the whole block when the layby fails.
+    bipartite degree of matchings by the matching module).  When every
+    strip's value counts are within twice the cap, the block runs a single
+    traverse A -> 0; otherwise every nonzero strip takes one greedy layby
+    pass.  The cap is only a target there: an overflow costs one more
+    matching, never correctness, so the pass's values are used as they
+    come.
     """
     h1, h2 = x.rows, x.cols
     j_blocks = h2 // k
@@ -632,16 +601,12 @@ def _traverse_block(x: F2Matrix, top_base: int, bot_base: int, k: int, n_ctx: in
     direct = max(naturals) <= 2 * cap
 
     b = vals.copy()
-    laid = [] if direct else [i for i in range(k) if naturals[i]]
-    try:
-        got = _layby_batch(
-            [vals[strip_rows[i]] for i in laid], nvals, cap,
-            [seed + 31 * i for i in laid], bound_zero=False, pin_zeros=True,
-        )
-    except LaybyFailure:
-        laid = got = []  # the direct traverse always succeeds
-    for i, b_i in zip(laid, got):
-        b[strip_rows[i]] = b_i
+    if not direct:
+        laid = [i for i in range(k) if naturals[i]]
+        strips = [vals[strip_rows[i]] for i in laid]
+        got = _layby_pass(strips, nvals, cap, [seed + 31 * i for i in laid], strict=False)
+        for i, (b_i, _) in zip(laid, got):
+            b[strip_rows[i]] = b_i
     stage_targets = (vals ^ b, b)
 
     states, trans_ops = _singer_walk(k)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Layer, levelled_circuit, trusted_layer
+from .circuit import Circuit, Layer, _fold_layers, levelled_circuit, trusted_layer
 from .errors import MalformedTree
 
 _LEAF = "leaf"
@@ -218,26 +218,15 @@ def prefix_circuit(n: int) -> Circuit:
 
 
 def _chain_layers(sites: list, collect: dict) -> list:
-    """Emit one chain: fold each site's collected control values into it
-    (balanced combine / add / uncombine keeps the controls intact), then a
-    prefix block over the site wires in chain order."""
-    fold = []
-    emit = []
-    for site in sites:
-        cs = collect.get(site, [])
-        if not cs:
-            continue
-        stride = 1
-        while stride < len(cs):
-            gates = [
-                (cs[i + stride], cs[i]) for i in range(0, len(cs) - stride, 2 * stride)
-            ]
-            if gates:
-                fold.append(np.asarray(gates, dtype=np.int64))
-            stride *= 2
-        emit.append(np.asarray([(cs[0], site)], dtype=np.int64))
-    layers = fold + [np.concatenate(emit)] + list(reversed(fold))
-    return layers + _prefix_layer_arrays(sites)
+    """Emit one chain: fold each site's collected control values into it,
+    keeping the controls intact, then a prefix block over the site wires in
+    chain order.  The folds run side by side: every site's combine, then
+    the adds, then the combines undone in reverse, an order that fixes the
+    order of the gates within each level."""
+    folds = [_fold_layers(collect[site], site) for site in sites if collect.get(site)]
+    combine = [arr for fold in folds for arr in fold[: len(fold) // 2]]
+    adds = np.concatenate([fold[len(fold) // 2] for fold in folds])
+    return combine + [adds] + combine[::-1] + _prefix_layer_arrays(sites)
 
 
 def contract_tree(t: CnotTree) -> Circuit:

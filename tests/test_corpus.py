@@ -5,8 +5,9 @@ One digest per method covers the matrix text and that method's
 keep a method's circuits as they are must keep its digest; a change meant
 to alter them updates that digest alone and says so.
 
-A second digest covers every method on structured matrices, whose skewed
-value counts send the dnc blocks through the layby.
+A second digest covers every method on structured matrices.  All but the
+permutations and the 1 %-dense triangle send dnc blocks through the
+layby.
 """
 
 import hashlib

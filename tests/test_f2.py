@@ -251,6 +251,22 @@ class TestStorage:
         m = F2Matrix.from_dense(np.ones((3, 65), dtype=np.uint8))
         assert m.words[:, 1].max() == 1  # only bit 64 set in the second word
 
+    def test_caller_array_stays_writable(self):
+        w = np.zeros((2, 1), dtype=np.uint64)
+        m = F2Matrix(2, 3, w)
+        assert w.flags.writeable
+        with pytest.raises(ValueError):
+            m.words[0, 0] = 1
+
+    def test_set_padding_bits_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            F2Matrix(1, 3, np.array([[0b1111]], dtype=np.uint64))
+        with pytest.raises(DimensionMismatch):
+            F2Matrix(2, 65, np.array([[0, 0], [0, 2]], dtype=np.uint64))
+        full = F2Matrix(1, 3, np.array([[0b111]], dtype=np.uint64))
+        assert full == F2Matrix.from_dense([[1, 1, 1]])
+        assert F2Matrix(1, 64, np.full((1, 1), 2**64 - 1, dtype=np.uint64)).row_weights()[0] == 64
+
     def test_unhashable(self):
         with pytest.raises(TypeError, match="unhashable type"):
             hash(F2Matrix.identity(2))

@@ -217,47 +217,54 @@ class TestLaybyFailurePath:
     def test_impossible_bound_raises(self):
         from cnotsynth.synth_free import _layby_values
 
-        # 64 entries of one value in a single row cannot satisfy cap 2
+        # the strict path of find_layby: 64 entries of one value in a single
+        # row cannot satisfy cap 2
         avals = np.zeros((1, 64), dtype=np.int64)
         with pytest.raises(LaybyFailure):
             _layby_values(avals, 2, 2, seed=0)
 
-    def test_batched_strips_match_one_at_a_time(self):
-        # strips laid out side by side in one wave loop, retries included,
-        # pick the same values as each strip on its own
-        from cnotsynth.synth_free import _layby_batch, _layby_values
+    def test_batched_pass_matches_one_strip_at_a_time(self):
+        # strips laid out side by side in one wave loop pick the same values
+        # and fill the same counter tables as each strip on its own
+        from cnotsynth.synth_free import _layby_pass
 
         rng = np.random.default_rng(5)
-        checked = 0
-        for _ in range(60):
-            cols = int(rng.integers(1, 30))
-            nvals = 1 << int(rng.integers(1, 5))
-            cap = int(rng.integers(2, 4))
-            strips = [rng.integers(0, nvals, (int(rng.integers(1, 30)), cols)) for _ in range(3)]
-            seeds = [int(s) for s in rng.integers(0, 1000, 3)]
-            try:
-                got = _layby_batch(strips, nvals, cap, seeds, bound_zero=False, pin_zeros=True)
-            except LaybyFailure:
-                continue
-            for a, seed, b in zip(strips, seeds, got):
-                want = _layby_values(a, nvals, cap, seed, bound_zero=False, pin_zeros=True)
-                assert np.array_equal(b, want)
-            checked += 1
-        assert checked >= 10
+        for strict in (False, True):
+            for _ in range(30):
+                cols = int(rng.integers(1, 30))
+                nvals = 1 << int(rng.integers(1, 5))
+                cap = int(rng.integers(2, 4))
+                heights = rng.integers(1, 30, 3)
+                strips = [rng.integers(0, nvals, (int(h), cols)) for h in heights]
+                seeds = [int(s) for s in rng.integers(0, 1000, 3)]
+                got = _layby_pass(strips, nvals, cap, seeds, strict)
+                for a, seed, (b, tables) in zip(strips, seeds, got):
+                    [(want_b, want_tables)] = _layby_pass([a], nvals, cap, [seed], strict)
+                    assert np.array_equal(b, want_b)
+                    for t, want_t in zip(tables, want_tables):
+                        assert np.array_equal(t, want_t)
+                    if not strict:
+                        assert not b[a == 0].any()  # zero entries stay zero
 
-    def test_dnc_falls_back_to_the_direct_traverse(self, monkeypatch):
-        # a layby that never meets its bound must not escape synth_dnc: the
-        # block is cleared by the direct traverse instead
+    def test_dnc_takes_only_the_lenient_pass(self, monkeypatch):
+        # dnc uses the greedy values as they come: neither the repair, the
+        # retries nor LaybyFailure are on its path
         import cnotsynth.synth_free as sf
 
-        tried = []
+        def unreachable(*args, **kwargs):
+            raise AssertionError("strict layby path reached from synth_dnc")
 
-        def stuck(strips, *args):
-            tried.append(len(strips))
-            return [None] * len(strips)
+        modes = []
+        real_pass = sf._layby_pass
 
-        monkeypatch.setattr(sf, "_layby_attempts", stuck)
+        def spy(strips, nvals, cap, seeds, strict):
+            modes.append(strict)
+            return real_pass(strips, nvals, cap, seeds, strict)
+
+        monkeypatch.setattr(sf, "_layby_values", unreachable)
+        monkeypatch.setattr(sf, "_layby_repair", unreachable)
+        monkeypatch.setattr(sf, "_layby_pass", spy)
         m = random_gl(256, 0)  # at least one block of it takes the layby
         c = synth_dnc(m, seed=0)
-        assert tried
+        assert modes and not any(modes)
         assert verify_implements(c, m).ok
