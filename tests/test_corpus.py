@@ -5,9 +5,7 @@ One digest per method covers the matrix text and that method's
 keep a method's circuits as they are must keep its digest; a change meant
 to alter them updates that digest alone and says so.
 
-A second digest covers every method on structured matrices.  All but the
-permutations and the 1 %-dense triangle send dnc blocks through the
-layby.
+A second set, again one digest per method, covers structured matrices.
 """
 
 import hashlib
@@ -90,21 +88,28 @@ STRUCTURED = {
     "upper_99pct": lambda n: _dense_upper(n, 0.99),
 }
 
-# One digest over all four methods, seed 0, on the structured families at
-# sizes around the dnc base case and its first splits.
-STRUCTURED_SHA256 = "5d0a53438defc636f3d9f193ce4441202c4f015a03a3af348a955e0d37dbf637"
+# One digest per method, seed 0, on the structured families at sizes around
+# the dnc base case and its first splits.  Each covers the matrix text and
+# that method's circuit text, as CORPUS_SHA256 does.
+STRUCTURED_SHA256 = {
+    "simple": "df7a6ffd66b20a9c9d727366ee3ec8d00f702148d3def802fae891e47e9a8481",
+    "dnc": "5e03b87cda1e7e9a9ccb570c5528618542e6f7e4850f24e76e9bce8eeae3f6aa",
+    "ancilla_s1": "1d330f550f924c09726d2b525e2797c7c96299bc728059ec06a2d4ce0c9cedb6",
+    "ancilla_s2": "bc044c3e13de4744d99ddb4417ea242445472f166d9c57866550d0449d85989d",
+}
 
 
 def test_structured_circuit_bytes_unchanged():
-    digest = hashlib.sha256()
+    digests = {name: hashlib.sha256() for name in METHODS}
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="ancilla scale")
         for n in (65, 127, 129, 300):
             for family, make in STRUCTURED.items():
                 m = make(n)
-                digest.update(format_matrix(m).encode())
+                text = format_matrix(m).encode()
                 for name, synth in METHODS.items():
                     c = synth(m, 0)
                     assert verify_implements(c, m).ok, (name, family, n)
-                    digest.update(format_circuit(c).encode())
-    assert digest.hexdigest() == STRUCTURED_SHA256
+                    digests[name].update(text)
+                    digests[name].update(format_circuit(c).encode())
+    assert {name: h.hexdigest() for name, h in digests.items()} == STRUCTURED_SHA256
