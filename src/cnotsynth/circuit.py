@@ -250,10 +250,17 @@ def level_asap(layers: list, wires: int) -> None:
 
     Raises:
         TooLarge: if ``wires`` >= 2^31, past what int32 indices hold.
+        MalformedLayer: if a gate's wire lies outside [0, wires).
     """
     if wires >= 1 << 31:
         raise TooLarge(f"{wires} wires exceed the int32 wire indices of a levelled circuit")
     sizes = [len(arr) for arr in layers]
+    # one range check over all gates, a group of arrays at a time, before
+    # ``last[arr]`` could wrap a negative index
+    for group in _chunks(range(len(layers)), sizes.__getitem__, _CHUNK_GATES):
+        part = np.concatenate([layers[i] for i in group])
+        if part.size and (part.min() < 0 or part.max() >= wires):
+            raise MalformedLayer("gate outside wire range")
     total = sum(sizes)
     last = np.zeros(wires, dtype=np.int32)  # level of the latest gate per wire
     level = np.empty(total, dtype=np.int32)
@@ -315,9 +322,13 @@ def levelled_circuit(layers: list, wires: int, data: int) -> Circuit:
     """The circuit of a gate sequence levelled as soon as possible.
 
     ``layers`` holds (control, target) arrays in the order the gates are
-    applied, the gates of one array on disjoint wires; it is consumed."""
+    applied, the gates of one array on disjoint wires; it is consumed.
+    level_asap checks the wire range, and every level holds a gate, so the
+    levels become the circuit's layers without a per-layer check."""
     level_asap(layers, wires)
-    return Circuit(wires, data, [trusted_layer(a) for a in layers])
+    c = Circuit(wires, data)
+    c.layers = tuple(trusted_layer(a) for a in layers)
+    return c
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+import numpy as np
+
+from .circuit import _stable_order
+
 
 @dataclass(frozen=True)
 class BipartiteGraph:
@@ -43,30 +47,138 @@ def max_degree(g: BipartiteGraph) -> int:
     return max(max(degl, default=0), max(degr, default=0))
 
 
-def color_edges(us: Sequence[int], vs: Sequence[int], left_count: int, right_count: int) -> list:
-    """Proper edge colouring of a bipartite multigraph with max-degree
-    colours, one colour index per edge.
+# widest palette of the numpy rounds: a class's free colours at a vertex
+# are the low bits of one int64 mask
+_MASK_COLOURS = 62
 
-    Edges are coloured in order; when the two endpoints share no free
-    colour, the alternating Kempe path starting at the right endpoint is
-    flipped first, which frees one (Koenig's edge-colouring proof; the
-    path can never reach the left endpoint, by the parity of its length).
+
+def color_edges(us, vs, left_count: int, right_count: int, classes=None) -> np.ndarray:
+    """Proper edge colourings of bipartite multigraphs, one colour index per
+    edge; each graph uses at most its maximum degree colours.
+
+    Edge i joins left vertex us[i] < left_count and right vertex
+    vs[i] < right_count of graph classes[i] (one graph when ``classes`` is
+    None).  The graphs share no vertex: their vertex ids are offset per
+    class, and each class has its own palette, numbered from 0.
+
+    The result is the colouring that takes each class's edges one at a
+    time, in the order given, each edge the lowest colour free at both its
+    ends, a Kempe path flipped first where they share none.  Most of it is
+    found in numpy rounds: every left vertex offers its next edge, and the
+    right vertex keeps the offer when it is its next edge too, so an edge
+    is coloured after every edge given before it at either end.  A kept
+    edge takes the lowest colour free at both ends, read from int64 masks
+    per vertex.  From a class's first edge with no common free colour on,
+    its edges go through the Kempe loop (_kempe_insert), which also colours
+    every edge of a class whose degree exceeds the mask width.
     """
-    degl = [0] * left_count
-    degr = [0] * right_count
-    for u in us:
-        degl[u] += 1
-    for v in vs:
-        degr[v] += 1
-    delta = max(max(degl, default=0), max(degr, default=0))
-    full = (1 << delta) - 1
-    free_l = [full] * left_count
-    free_r = [full] * right_count
-    color_of = [0] * len(us)
-    # incident edge id (-1: none) per (vertex, colour), at vertex*delta + colour
-    at_l = [-1] * (left_count * delta)
-    at_r = [-1] * (right_count * delta)
-    for eid, u, v in zip(range(len(us)), us, vs):
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    cls = np.zeros(us.size, dtype=np.int64) if classes is None else np.asarray(classes, dtype=np.int64)
+    ncls = int(cls.max(initial=-1)) + 1
+    gl = cls * left_count + us
+    gr = cls * right_count + vs
+    degl = np.bincount(gl, minlength=ncls * left_count).reshape(ncls, left_count)
+    degr = np.bincount(gr, minlength=ncls * right_count).reshape(ncls, right_count)
+    delta = np.maximum(degl.max(axis=1, initial=0), degr.max(axis=1, initial=0))
+    masks = (np.int64(1) << np.minimum(delta, _MASK_COLOURS)) - 1
+    free_l = np.repeat(masks, left_count)
+    free_r = np.repeat(masks, right_count)
+    colour = np.full(us.size, -1, dtype=np.int64)
+
+    # The rounds work on positions in the left vertices' queues, with n for
+    # "none".  Each position's predecessor and successor in its left and
+    # right queue link the rounds: after the first, only the successors of
+    # the edges just taken can be next at both ends.
+    fast = np.flatnonzero(delta[cls] <= _MASK_COLOURS)
+    queue = fast[np.argsort(gl[fast], kind="stable")]
+    n = queue.size
+    qgl, qgr = gl[queue], gr[queue]
+    pos = np.arange(n)
+    starts = np.diff(qgl, prepend=-1) != 0
+    lprev = np.where(starts, n, pos - 1)
+    lnext = np.where(np.append(starts[1:], True), n, pos + 1)
+    by_input = np.argsort(queue, kind="stable")
+    by_right = by_input[_stable_order(qgr[by_input], ncls * right_count)]
+    same = np.flatnonzero(qgr[by_right[1:]] == qgr[by_right[:-1]])
+    rprev = np.full(n, n)
+    rprev[by_right[same + 1]] = by_right[same]
+    rnext = np.full(n, n)
+    rnext[by_right[same]] = by_right[same + 1]
+    when = np.full(n + 1, n)  # round each position was taken in, n if not yet
+    when[n] = -1
+    bit = np.zeros(n, dtype=np.int64)  # colour bit taken, 0 if none was free
+    cur = np.flatnonzero((lprev == n) & (rprev == n))
+    rnd = 0
+    while cur.size:
+        u, v = qgl[cur], qgr[cur]
+        common = free_l[u] & free_r[v]
+        low = common & -common
+        bit[cur] = low
+        free_l[u] ^= low
+        free_r[v] ^= low
+        when[cur] = rnd
+        # a left successor is next at both ends once its right predecessor
+        # is taken; a right successor whose left predecessor was taken in
+        # this round is among the left successors already
+        a = lnext[cur]
+        a = a[a < n]
+        b = rnext[cur]
+        b = b[b < n]
+        cur = np.concatenate([a[when[rprev[a]] <= rnd], b[when[lprev[b]] < rnd]])
+        rnd += 1
+    colour[queue] = np.frexp(bit.astype(np.float64))[1] - 1  # frexp(0) gives -1
+
+    # the edges after a class's first uncoloured one give their colours back
+    first = np.full(ncls, us.size, dtype=np.int64)
+    np.minimum.at(first, cls[colour < 0], np.flatnonzero(colour < 0))
+    undo = np.flatnonzero((np.arange(us.size) > first[cls]) & (colour >= 0))
+    np.bitwise_xor.at(free_l, gl[undo], np.int64(1) << colour[undo])
+    np.bitwise_xor.at(free_r, gr[undo], np.int64(1) << colour[undo])
+    colour[undo] = -1
+
+    # the Kempe loop runs over the classes left with uncoloured edges, their
+    # vertices renumbered class by class and their tables built here
+    redo = np.flatnonzero(first < us.size)
+    if redo.size:
+        slot = np.full(ncls, -1, dtype=np.int64)
+        slot[redo] = np.arange(redo.size)
+        sel = np.flatnonzero(slot[cls] >= 0)
+        lu = slot[cls[sel]] * left_count + us[sel]
+        lv = slot[cls[sel]] * right_count + vs[sel]
+        stride = int(delta[redo].max())
+        done = np.flatnonzero(colour[sel] >= 0)
+        at_l = np.full(redo.size * left_count * stride, -1, dtype=np.int64)
+        at_r = np.full(redo.size * right_count * stride, -1, dtype=np.int64)
+        at_l[lu[done] * stride + colour[sel[done]]] = done
+        at_r[lv[done] * stride + colour[sel[done]]] = done
+        free_l = free_l.reshape(ncls, left_count)[redo].ravel().tolist()
+        free_r = free_r.reshape(ncls, right_count)[redo].ravel().tolist()
+        for j in np.flatnonzero(delta[redo] > _MASK_COLOURS).tolist():
+            full = (1 << int(delta[redo[j]])) - 1
+            free_l[j * left_count : (j + 1) * left_count] = [full] * left_count
+            free_r[j * right_count : (j + 1) * right_count] = [full] * right_count
+        part = colour[sel]
+        _kempe_insert(lu, lv, part, (free_l, free_r, at_l, at_r), stride)
+        colour[sel] = part
+    return colour
+
+
+def _kempe_insert(us, vs, color_of, tables: tuple, delta: int) -> None:
+    """Complete a proper partial edge colouring in place, each edge's class
+    keeping to its palette.
+
+    ``tables`` holds the free-colour mask of every left and right vertex,
+    and the edge id (-1: none) per (vertex, colour) at vertex*delta +
+    colour, on each side.  Edges with colour -1 are coloured in order; when
+    the two endpoints share no free colour, the alternating Kempe path
+    starting at the right endpoint is flipped first, which frees one
+    (Koenig's edge-colouring proof; the path can never reach the left
+    endpoint, by the parity of its length).
+    """
+    free_l, free_r, at_l, at_r = tables
+    for eid in np.flatnonzero(color_of < 0).tolist():
+        u, v = int(us[eid]), int(vs[eid])
         both = free_l[u] & free_r[v]
         if both:
             low = both & -both
@@ -108,7 +220,6 @@ def color_edges(us: Sequence[int], vs: Sequence[int], left_count: int, right_cou
         free_r[v] ^= low
         at_l[u * delta + c] = eid
         at_r[v * delta + c] = eid
-    return color_of
 
 
 def decompose_matchings(g: BipartiteGraph) -> list:
@@ -123,7 +234,7 @@ def decompose_matchings(g: BipartiteGraph) -> list:
     us = [u for u, _, _ in g.edges]
     vs = [v for _, v, _ in g.edges]
     colors = color_edges(us, vs, g.left_count, g.right_count)
-    out = [[] for _ in range(max(colors) + 1)]
-    for eid, c in enumerate(colors):
+    out = [[] for _ in range(int(colors.max()) + 1)]
+    for eid, c in enumerate(colors.tolist()):
         out[c].append(g.edges[eid])
     return [m for m in out if m]

@@ -14,9 +14,11 @@ that are walked in lock-step through a sequence of invertible k x k states
 whose rows visit every nonzero vector.  Whenever the walk state's row i
 equals a super-entry of strip i, one CNOT clears that entry; the entries
 equal per stamp form a bounded-degree bipartite graph that is peeled into
-matchings, one parallel layer each.  A precomputed "layby" matrix B keeps
-every value's occurrence count per row and column small so the peeling
-stays shallow; the block is moved A -> B -> 0 in two traverses.
+matchings, one parallel layer each.  Where some strip repeats a value far
+more often per row or column than the layby cap, a precomputed "layby"
+matrix B keeps every value's count small so the peeling stays shallow,
+and the block is moved A -> B -> 0 in two traverses; otherwise one
+traverse A -> 0 clears it.
 
 A factor's reduction is emitted as one gate sequence: the base-case
 staircases in lock step, then the traverses, children before parents.
@@ -437,17 +439,25 @@ def find_layby(strip: F2Matrix, n_ctx: int, seed: int = 0) -> LaybyPair:
 # lock-step walk machinery for the divide-and-conquer elimination
 # ----------------------------------------------------------------------
 
-# primitive polynomials over GF(2); bit i is the coefficient of x^i in
-# the remainder of x^k
+# transvection lists (src, dst), applied in order as "row dst ^= row src"
+# to I, giving a generator of the Singer cycle for each k <= 8: the
+# shortest found among the companion-matrix powers of full order and a
+# seeded random search over products of k to k+2 transvections
+_SINGER_OPS = {
+    1: [],
+    2: [(0, 1), (1, 0)],
+    3: [(2, 1), (0, 2), (1, 0)],
+    4: [(3, 0), (0, 2), (2, 1), (1, 3)],
+    5: [(1, 3), (0, 2), (3, 4), (2, 1), (4, 0)],
+    6: [(0, 4), (1, 5), (3, 4), (4, 2), (5, 0), (0, 3), (2, 1), (4, 0)],
+    7: [(5, 0), (6, 4), (2, 3), (4, 2), (1, 2), (1, 5), (0, 6), (3, 1)],
+    8: [(7, 6), (7, 5), (7, 4), (7, 3), (6, 7), (7, 6), (5, 6), (6, 5), (4, 5),
+        (5, 4), (3, 4), (3, 2), (2, 3), (2, 1), (1, 2), (1, 0), (0, 1), (1, 0)],
+}
+
+# primitive polynomials over GF(2) for larger k; bit i is the coefficient
+# of x^i in the remainder of x^k
 _PRIMITIVE = {
-    1: 0b1,
-    2: 0b11,
-    3: 0b011,
-    4: 0b0011,
-    5: 0b00101,
-    6: 0b000011,
-    7: 0b0000011,
-    8: 0b00011101,
     9: 0b000010001,
     10: 0b0000001001,
     11: 0b00000000101,
@@ -498,50 +508,20 @@ def _singer_walk(k: int):
 
     Row p of G^t runs through every nonzero vector as t covers the full
     period 2^k - 1, and consecutive states differ by the constant factor
-    G, so one fixed transvection list advances all blocks per stamp.  G is
-    picked among the powers of the companion matrix of a primitive
-    polynomial to minimise that list (it can never beat k ops, since
-    G - I is invertible).
+    G, so one fixed transvection list advances all blocks per stamp.  For
+    k <= 8 the list comes from _SINGER_OPS (it can never be shorter than k
+    ops, since G - I is invertible); past that G is the companion matrix
+    of a primitive polynomial.  The period is checked at first use.
     """
-    poly = _PRIMITIVE[k]
-    comp = [(1 << (i + 1)) if i + 1 < k else poly for i in range(k)]
+    if k in _SINGER_OPS:
+        ops = _SINGER_OPS[k]
+    else:
+        poly = _PRIMITIVE[k]
+        ops = _factor_transvections([(1 << (i + 1)) if i + 1 < k else poly for i in range(k)], k)
     ident = [1 << i for i in range(k)]
     period = (1 << k) - 1
-    if k == 1:
-        return [ident], []
-    powers = []
-    cur = comp
-    for _ in range(period):
-        powers.append(cur)
-        cur = _mat_mul_rows(comp, cur, k)
-    assert powers[-1] == ident, "companion order mismatch"
-    best_ops = None
-    for j in range(1, period):
-        if math.gcd(j, period) != 1:
-            continue
-        ops = _factor_transvections(powers[j - 1], k)
-        if best_ops is None or len(ops) < len(best_ops):
-            best_ops = ops
-    # short products of transvections with full order usually exist (k is
-    # the optimum possible: G - I is invertible), so sample for one
-    rng = np.random.default_rng(k)
-    for length in range(k, k + 3):
-        for _ in range(4000):
-            if len(best_ops) <= length:
-                break
-            ops = []
-            rows = list(ident)
-            for _ in range(length):
-                a = int(rng.integers(k))
-                b = (a + 1 + int(rng.integers(k - 1))) % k
-                ops.append((a, b))
-                rows[b] ^= rows[a]
-            if _order_is_full(rows, ident, period, k):
-                best_ops = ops
-        if len(best_ops) <= length:
-            break
     gen = list(ident)
-    for src, dst in best_ops:
+    for src, dst in ops:
         gen[dst] ^= gen[src]
     states = []
     cur = gen
@@ -551,16 +531,7 @@ def _singer_walk(k: int):
     assert states[-1] == ident, "generator order mismatch"
     for p in range(k):
         assert len({st[p] for st in states}) == period
-    return states, best_ops
-
-
-def _order_is_full(rows: list, ident: list, period: int, k: int) -> bool:
-    cur = rows
-    for t in range(1, period):
-        if cur == ident:
-            return False
-        cur = _mat_mul_rows(rows, cur, k)
-    return cur == ident
+    return states, ops
 
 
 def _traverse_block(x: F2Matrix, top_base: int, bot_base: int, k: int, n_ctx: int, seed: int) -> list:
@@ -570,12 +541,15 @@ def _traverse_block(x: F2Matrix, top_base: int, bot_base: int, k: int, n_ctx: in
     Singer cycle and, per stamp, one layer per matching of super-entries
     whose value equals the walk state's row for their strip (the
     equal-value entries of a strip are coloured into at most their
-    bipartite degree of matchings by the matching module).  When every
-    strip's value counts are within twice the cap, the block runs a single
-    traverse A -> 0; otherwise every nonzero strip takes one greedy layby
-    pass.  The cap is only a target there: an overflow costs one more
-    matching, never correctness, so the pass's values are used as they
-    come.
+    bipartite degree of matchings, every class of a stage in one
+    matching.color_edges call).  When every strip's value counts are
+    within four times the cap, the block runs a single traverse A -> 0;
+    otherwise every nonzero strip takes one greedy layby pass.  The circuit
+    is levelled afterwards, so the layby's second walk costs depth as well
+    as gates: from twice the cap to four times it, one traverse came out
+    shallower with fewer gates on every random matrix measured.  The cap
+    is only a target in the pass: an overflow costs one more matching,
+    never correctness, so its values are used as they come.
     """
     h1, h2 = x.rows, x.cols
     j_blocks = h2 // k
@@ -597,8 +571,9 @@ def _traverse_block(x: F2Matrix, top_base: int, bot_base: int, k: int, n_ctx: in
         rcnt, ccnt = _bincount_lines(vals[rows_i], nvals)
         naturals.append(max(rcnt[:, 1:].max(initial=0), ccnt[:, 1:].max(initial=0)))
     # one traverse A -> 0 beats the layby detour unless some strip is so
-    # unbalanced that its matchings would outweigh a second walk
-    direct = max(naturals) <= 2 * cap
+    # unbalanced that its matchings would outweigh a second walk; below
+    # four times the cap they do not, once the circuit is levelled
+    direct = max(naturals) <= 4 * cap
 
     b = vals.copy()
     if not direct:
@@ -634,28 +609,24 @@ def _traverse_block(x: F2Matrix, top_base: int, bot_base: int, k: int, n_ctx: in
         # the entries of one (stamp, strip) class, in row-major order, are
         # coloured into matchings; a class repeating no row and no column is
         # one matching already (rows ascend within a class, columns are
-        # sorted per class first)
+        # sorted per class first).  The repeated classes of the stage are
+        # coloured in one call.
         cls = stamp * k + strip
         order = _stable_order(cls, period * k)
         first = np.r_[True, np.diff(cls[order]) != 0]
-        starts = np.flatnonzero(first)
-        ends = np.r_[starts[1:], order.size]
+        ncls = int(np.count_nonzero(first))
         cid = np.empty_like(order)
         cid[order] = np.cumsum(first) - 1
-        repeated = np.zeros(starts.size, dtype=bool)
+        repeated = np.zeros(ncls, dtype=bool)
         repeated[cid[order[1:]][~first[1:] & (np.diff(rr[order]) == 0)]] = True
-        by_col = _stable_order(cid * j_blocks + cc, starts.size * j_blocks)
+        by_col = _stable_order(cid * j_blocks + cc, ncls * j_blocks)
         same = (np.diff(cid[by_col]) == 0) & (np.diff(cc[by_col]) == 0)
         repeated[cid[by_col[1:]][same]] = True
-        us = row_in_strip[rr[order]].tolist()
-        vs = cc[order].tolist()
-        left = strip_sizes[strip[order[starts]]].tolist()
-        colours = [0] * rr.size
-        for ci in np.flatnonzero(repeated).tolist():
-            a, z = int(starts[ci]), int(ends[ci])
-            colours[a:z] = color_edges(us[a:z], vs[a:z], left[ci], j_blocks)
-        rnd = np.empty(rr.size, dtype=np.int64)
-        rnd[order] = colours
+        e = order[repeated[cid[order]]]
+        rnd = np.zeros(rr.size, dtype=np.int64)
+        rnd[e] = color_edges(
+            row_in_strip[rr[e]], cc[e], int(strip_sizes.max()), j_blocks, (np.cumsum(repeated) - 1)[cid[e]]
+        )
         # per stamp: its transition layers, then one layer per round
         width = int(rnd.max()) + 1
         gates = np.stack([bot_base + cc * k + strip, top_base + rr], axis=1)

@@ -40,6 +40,13 @@ def all_ones_lower(n):
     return F2Matrix.from_dense(np.tril(np.ones((n, n), dtype=np.uint8)))
 
 
+def half_block(n):
+    """Identity with the top-right n/2 x n/2 block all ones."""
+    d = np.eye(n, dtype=np.uint8)
+    d[: n // 2, n // 2 :] = 1
+    return F2Matrix.from_dense(d)
+
+
 @pytest.fixture(scope="session")
 def gl3_members():
     """All 168 members of GL(3,2), via exhaustive enumeration."""

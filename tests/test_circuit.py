@@ -17,7 +17,7 @@ from cnotsynth import (
     synth_simple,
     verify_implements,
 )
-from cnotsynth.circuit import level_asap, trusted_layer
+from cnotsynth.circuit import level_asap, levelled_circuit, trusted_layer
 
 
 def format_circuit_ref(c):
@@ -165,6 +165,19 @@ class TestInt32Gates:
         for wires in (1 << 31, 1 << 40):
             with pytest.raises(TooLarge):
                 level_asap([], wires)
+
+    @pytest.mark.parametrize("bad", [[-1, 2], [0, -3], [4, 0], [1, 9]])
+    def test_levelled_circuit_rejects_wires_out_of_range(self, bad):
+        # a negative index would wrap in the levelling's per-wire table, one
+        # past the end would index out of it
+        layers = [np.array([[0, 1]]), np.array([[2, 3], bad])]
+        with pytest.raises(MalformedLayer):
+            levelled_circuit(layers, 4, 4)
+
+    def test_levelled_circuit_keeps_wire_counts(self):
+        c = levelled_circuit([np.array([[0, 1], [2, 3]]), np.array([[1, 2]])], 5, 4)
+        assert (c.wires, c.data, c.depth, c.size) == (5, 4, 2, 3)
+        assert all(l.pairs.dtype == np.int32 for l in c.layers)
 
 
 class TestTextFormat:

@@ -24,7 +24,7 @@ from cnotsynth import (
     synth_simple,
     verify_implements,
 )
-from conftest import all_ones_lower, rand_unit_lower, rand_unit_upper
+from conftest import half_block, rand_unit_lower, rand_unit_upper
 
 
 class TestSynthSimple:
@@ -264,7 +264,50 @@ class TestLaybyFailurePath:
         monkeypatch.setattr(sf, "_layby_values", unreachable)
         monkeypatch.setattr(sf, "_layby_repair", unreachable)
         monkeypatch.setattr(sf, "_layby_pass", spy)
-        m = random_gl(256, 0)  # at least one block of it takes the layby
+        m = half_block(300)  # its blocks take the layby on 10 strips
         c = synth_dnc(m, seed=0)
         assert modes and not any(modes)
         assert verify_implements(c, m).ok
+
+    @pytest.mark.parametrize("n,seeds", [(256, range(3)), (1024, [1])])
+    def test_random_matrices_take_no_layby(self, monkeypatch, n, seeds):
+        # a random strip's value counts stay within 4x the cap, so its block
+        # runs one traverse A -> 0
+        import cnotsynth.synth_free as sf
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("layby pass reached")
+
+        monkeypatch.setattr(sf, "_layby_pass", unreachable)
+        for seed in seeds:
+            m = random_gl(n, seed)
+            assert verify_implements(synth_dnc(m, seed=seed), m).ok
+
+
+# synth_dnc(random_gl(n, seed), seed=seed) as (depth, gates) when a block
+# took the layby past twice the cap and each (stamp, strip) class was
+# coloured on its own
+PARENT_DNC = {(256, 0): (632, 32126), (256, 1): (580, 29178), (256, 2): (545, 26321), (1024, 1): (1710, 330090)}
+
+
+@pytest.fixture(scope="module")
+def dnc_sizes():
+    out = {}
+    for n, seed in PARENT_DNC:
+        m = random_gl(n, seed)
+        c = synth_dnc(m, seed=seed)
+        assert verify_implements(c, m).ok
+        out[n, seed] = (c.depth, c.size)
+    return out
+
+
+@pytest.mark.parametrize("n,seed", sorted(PARENT_DNC))
+def test_dnc_at_or_below_parent(dnc_sizes, n, seed):
+    depth, gates = dnc_sizes[n, seed]
+    assert depth <= PARENT_DNC[n, seed][0]
+    assert gates <= PARENT_DNC[n, seed][1]
+
+
+def test_dnc_gates_below_parent(dnc_sizes):
+    total = sum(gates for _, gates in dnc_sizes.values())
+    assert total <= 0.95 * sum(gates for _, gates in PARENT_DNC.values())
