@@ -180,6 +180,22 @@ class TestBatchedColouring:
                 alone = color_edges(us[mine], vs[mine], 12, 9)
                 assert np.array_equal(batch[mine], alone)
 
+    def test_groups_of_classes_equal_one_class_at_a_time(self):
+        # past 2^15 edges the classes are coloured in groups; a class larger
+        # than a group makes a group of its own
+        rng = np.random.default_rng(14)
+        us, vs, cls = self.random_batch(rng, 400, 20, 20, 150)
+        big = 40000
+        us = np.concatenate([us, rng.integers(0, 2000, big)])
+        vs = np.concatenate([vs, rng.integers(0, 2000, big)])
+        cls = np.concatenate([cls + (cls >= 200), np.full(big, 200)])
+        perm = rng.permutation(cls.size)
+        us, vs, cls = us[perm], vs[perm], cls[perm]
+        colour = self.check(us, vs, cls, 2000, 2000)
+        for c in np.unique(cls):
+            mine = cls == c
+            assert np.array_equal(colour[mine], color_edges(us[mine], vs[mine], 2000, 2000))
+
     @pytest.mark.parametrize("degree", [62, 63, 64, 90])
     def test_classes_past_the_mask_width(self, degree):
         # one class of each degree around the int64 mask width, next to
