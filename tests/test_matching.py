@@ -147,8 +147,9 @@ class TestBatchedColouring:
 
     def test_equals_sequential_colouring(self):
         # the rounds and the Kempe loop give each class the colouring of its
-        # edges taken one at a time, in order; random multigraphs of
-        # degree 1 to 12 defer some edges and flip Kempe paths
+        # edges taken one at a time, in order; in these interleaved random
+        # multigraphs some classes meet an edge with no common free colour,
+        # and Kempe paths are flipped
         rng = np.random.default_rng(13)
         for _ in range(12):
             left, right = int(rng.integers(1, 12)), int(rng.integers(1, 12))
