@@ -222,10 +222,7 @@ def invert_circuit(c: Circuit) -> Circuit:
 def _stable_order(keys: np.ndarray, nkeys: int) -> np.ndarray:
     """Stable argsort of integer keys in [0, nkeys): least significant
     digit first radix sort over 16-bit digits (numpy radix-sorts 16-bit
-    integers, which beats its merge sort on wider ones).  Keys already in
-    order, checked in one pass, keep it."""
-    if (keys[1:] >= keys[:-1]).all():
-        return np.arange(keys.size)
+    integers, which beats its merge sort on wider ones)."""
     order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
     shift = 16
     while (nkeys - 1) >> shift > 0:

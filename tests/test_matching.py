@@ -126,6 +126,7 @@ class TestBatchedColouring:
     @staticmethod
     def check(us, vs, cls, left, right):
         colour = color_edges(us, vs, left, right, cls)
+        assert colour.dtype == np.int64  # in one group of classes or several
         us, vs, cls = (np.asarray(x) for x in (us, vs, cls))
         for c in np.unique(cls):
             mine = cls == c

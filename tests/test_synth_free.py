@@ -269,20 +269,6 @@ class TestLaybyFailurePath:
         assert modes and not any(modes)
         assert verify_implements(c, m).ok
 
-    @pytest.mark.parametrize("n,seeds", [(256, range(3)), (1024, [1])])
-    def test_random_matrices_take_no_layby(self, monkeypatch, n, seeds):
-        # a random strip's value counts stay within 4x the cap, so its block
-        # runs one traverse A -> 0
-        import cnotsynth.synth_free as sf
-
-        def unreachable(*args, **kwargs):
-            raise AssertionError("layby pass reached")
-
-        monkeypatch.setattr(sf, "_layby_pass", unreachable)
-        for seed in seeds:
-            m = random_gl(n, seed)
-            assert verify_implements(synth_dnc(m, seed=seed), m).ok
-
 
 # synth_dnc(random_gl(n, seed), seed=seed) as (depth, gates) when a block
 # took the layby past twice the cap and each (stamp, strip) class was
@@ -292,12 +278,21 @@ PARENT_DNC = {(256, 0): (632, 32126), (256, 1): (580, 29178), (256, 2): (545, 26
 
 @pytest.fixture(scope="module")
 def dnc_sizes():
+    # a random strip's value counts stay within 4x the cap, so every block
+    # runs one traverse A -> 0 and never reaches the layby pass
+    import cnotsynth.synth_free as sf
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("layby pass reached")
+
     out = {}
-    for n, seed in PARENT_DNC:
-        m = random_gl(n, seed)
-        c = synth_dnc(m, seed=seed)
-        assert verify_implements(c, m).ok
-        out[n, seed] = (c.depth, c.size)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sf, "_layby_pass", unreachable)
+        for n, seed in PARENT_DNC:
+            m = random_gl(n, seed)
+            c = synth_dnc(m, seed=seed)
+            assert verify_implements(c, m).ok
+            out[n, seed] = (c.depth, c.size)
     return out
 
 
