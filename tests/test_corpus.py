@@ -5,7 +5,8 @@ One digest per method covers the matrix text and that method's
 keep a method's circuits as they are must keep its digest; a change meant
 to alter them updates that digest alone and says so.
 
-A second set, again one digest per method, covers structured matrices.
+A second set, again one digest per method, covers structured matrices,
+and a third covers the tree contraction.
 """
 
 import hashlib
@@ -15,8 +16,10 @@ import numpy as np
 
 from cnotsynth import (
     F2Matrix,
+    contract_tree,
     format_circuit,
     format_matrix,
+    format_tree,
     permutation_matrix,
     random_gl,
     synth_dnc,
@@ -24,7 +27,7 @@ from cnotsynth import (
     synth_with_ancillae,
     verify_implements,
 )
-from conftest import half_block
+from conftest import half_block, rand_tree
 
 METHODS = {
     "simple": lambda m, seed: synth_simple(m),
@@ -112,3 +115,20 @@ def test_structured_circuit_bytes_unchanged():
                     digests[name].update(text)
                     digests[name].update(format_circuit(c).encode())
     assert {name: h.hexdigest() for name, h in digests.items()} == STRUCTURED_SHA256
+
+
+# The first 20 trees of acceptance criterion 11, each covered by its tree
+# text and its contract_tree circuit text.  Depth ceilings alone guard the
+# contraction otherwise, and it shares circuit._fold_layers with the
+# ancilla fan-in.
+TREE_SHA256 = "e4670af273d1e09b62bb2c84330b917a78d4d58bb62cafbc077b535a9d1f8b81"
+
+
+def test_contract_tree_bytes_unchanged():
+    rng = np.random.default_rng(6)
+    digest = hashlib.sha256()
+    for trial in range(20):
+        t = rand_tree(int(rng.integers(8, 1025)), trial)
+        digest.update(format_tree(t).encode())
+        digest.update(format_circuit(contract_tree(t)).encode())
+    assert digest.hexdigest() == TREE_SHA256
