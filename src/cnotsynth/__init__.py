@@ -54,12 +54,10 @@ from .f2 import (
 from .matching import BipartiteGraph, decompose_matchings, max_degree
 from .synth_ancilla import (
     AncillaLayout,
-    CopyPlan,
     embed_m,
     gen_scols,
     gen_sparse,
     gen_ycol,
-    gen_ycol_with_plan,
     max_scale,
     synth_with_ancillae,
 )

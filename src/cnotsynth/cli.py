@@ -23,8 +23,13 @@ from .synth_ancilla import synth_with_ancillae
 from .synth_free import synth_dnc, synth_simple
 from .trees import contract_tree, parse_tree, tree_to_circuit_sequential
 
-_MATRIX_METHODS = ("simple", "dnc", "ancilla")
-_TREE_METHODS = ("tree-seq", "tree-contract")
+# method name -> synthesiser, of (matrix, ancilla scale, seed) or of a tree
+_MATRIX_METHODS = {
+    "simple": lambda m, scale, seed: synth_simple(m),
+    "dnc": lambda m, scale, seed: synth_dnc(m, seed=seed),
+    "ancilla": lambda m, scale, seed: synth_with_ancillae(m, scale, seed=seed),
+}
+_TREE_METHODS = {"tree-seq": tree_to_circuit_sequential, "tree-contract": contract_tree}
 
 
 def _read(path: str) -> str:
@@ -42,20 +47,14 @@ def _summary(**kv) -> None:
 
 
 def _synthesise(method: str, m: F2Matrix, scale: int, seed: int):
-    if method == "simple":
-        return synth_simple(m)
-    if method == "dnc":
-        return synth_dnc(m, seed=seed)
-    if method == "ancilla":
-        return synth_with_ancillae(m, scale, seed=seed)
-    raise ValueError(f"unknown method {method!r}")
+    if method not in _MATRIX_METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    return _MATRIX_METHODS[method](m, scale, seed)
 
 
 def cmd_synth(args) -> int:
     if args.method in _TREE_METHODS:
-        tree = parse_tree(_read(args.infile))
-        seq = tree_to_circuit_sequential(tree)
-        circuit = seq if args.method == "tree-seq" else contract_tree(tree)
+        circuit = _TREE_METHODS[args.method](parse_tree(_read(args.infile)))
         source = None
     else:
         source = parse_matrix(_read(args.infile))
@@ -274,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out", default=None)
     sp.add_argument("--method", default="simple",
-                    choices=_MATRIX_METHODS + _TREE_METHODS)
+                    choices=(*_MATRIX_METHODS, *_TREE_METHODS))
     sp.add_argument("--ancilla-scale", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--verify", action="store_true")

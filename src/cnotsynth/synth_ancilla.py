@@ -12,7 +12,9 @@ construction on disjoint wires: each stack builds, for every k-bit column
 slice, the block of all nonzero sums of its control rows (a "P block"),
 copies the popular sums a few times, and adds one copy per slice into
 every target row under a schedule that never reuses a copy within a
-layer.  Stack 0 adds straight into the target rows and undoes its
+layer.  One scheduler, _paste_layers, serves both copy-and-paste steps:
+the P block's build from the control rows and the stack's pastes from
+the P rows.  Stack 0 adds straight into the target rows and undoes its
 machinery; stacks 1..s-1 add into partial blocks, which a fan-in adds into
 the target rows before their builds are reversed.  Pollution survives only
 in columns the ancilla contract leaves unconstrained.
@@ -105,38 +107,6 @@ class AncillaLayout:
 # ----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _sparse_schedule(vals: tuple, kb: int):
-    """Paste schedule: target t receives its set bits in weight order, one
-    per paste layer p; the rank within (bit, layer) selects which copy of
-    the control row feeds it (rank 0 is the control wire itself)."""
-    uses: dict = {}
-    ti, bs, ps, rs = [], [], [], []
-    for t, v in enumerate(vals):
-        p = 0
-        x = int(v)
-        while x:
-            b = (x & -x).bit_length() - 1
-            r = uses.get((b, p), 0)
-            uses[(b, p)] = r + 1
-            ti.append(t)
-            bs.append(b)
-            ps.append(p)
-            rs.append(r)
-            x &= x - 1
-            p += 1
-    copies = [0] * kb
-    for (b, _p), cnt in uses.items():
-        copies[b] = max(copies[b], cnt - 1)
-    return (
-        np.array(ti, dtype=np.int64),
-        np.array(bs, dtype=np.int64),
-        np.array(ps, dtype=np.int64),
-        np.array(rs, dtype=np.int64),
-        tuple(copies),
-    )
-
-
 def _doubling_rounds(roots: np.ndarray, counts: np.ndarray, dests: np.ndarray) -> list:
     """Copy fan-out layers.  Group g copies wire roots[g] onto its
     counts[g] wires of ``dests`` (groups stored contiguously).  Per round
@@ -156,31 +126,52 @@ def _doubling_rounds(roots: np.ndarray, counts: np.ndarray, dests: np.ndarray) -
     return _split_by(rnd, np.stack([src, dests], axis=1), int(rnd.max()) + 1)
 
 
-def _sparse_layers(vals, kb, ctrl_wires, tgt_wires, scratch_wires) -> list:
+def _paste_layers(source, colour, tgt, roots, spare) -> tuple:
+    """Copy-and-paste schedule: paste i adds wire roots[source[i]] into
+    wire tgt[i] in the layer of colour[i].  Within a (source, colour) class
+    the paste of rank r, in the order given, reads copy r of its source,
+    copy 0 being the root; so a source gets as many extra copies as its
+    largest class, less one, which sit contiguously per source, in source
+    order, at the front of ``spare``.  Returns (build, paste, extra): the
+    copy fan-out layers, one paste array per colour present in colour
+    order, and the extra copies per source.
+
+    Raises:
+        LayoutError: if ``spare`` cannot hold the copies.
+    """
+    ncol = int(colour.max(initial=-1)) + 1
+    cls = source * ncol + colour
+    order = _stable_order(cls, roots.size * ncol)
+    idx = np.arange(cls.size)
+    new_run = np.r_[True, cls[order[1:]] != cls[order[:-1]]]
+    rank = np.empty_like(idx)
+    rank[order] = idx - np.maximum.accumulate(np.where(new_run, idx, 0))
+    extra = np.zeros(roots.size, dtype=np.int64)
+    np.maximum.at(extra, source, rank)
+    n_copies = int(extra.sum())
+    if n_copies > len(spare):
+        raise LayoutError("no room for the copies")
+    copies = spare[:n_copies]
+    src = roots[source]
+    from_copy = rank > 0
+    src[from_copy] = copies[(np.cumsum(extra) - extra)[source[from_copy]] + rank[from_copy] - 1]
+    paste = _split_by(colour, np.stack([src, tgt], axis=1), ncol)
+    return _doubling_rounds(roots, extra, copies), paste, extra
+
+
+def _sparse_layers(vals, kb, ctrl_wires, tgt_wires, scratch_wires) -> tuple:
     """Layers adding, to each target wire, the subset-sum of the control
-    wires given by its value's bit mask; scratch holds temporary copies of
-    the control rows and is built and restored around the pastes."""
-    keep = [i for i, v in enumerate(vals) if v]
-    sched_ti, sched_b, sched_p, sched_r, copies = _sparse_schedule(
-        tuple(int(vals[i]) for i in keep), kb
+    wires given by its value's bit mask, and the number of scratch wires
+    used.  Target t takes its set bits in weight order, one per paste
+    layer; scratch holds the copies of the control rows and is built and
+    restored around the pastes."""
+    bits = (np.asarray(vals, dtype=np.int64)[:, None] >> np.arange(kb)) & 1
+    ti, b = np.nonzero(bits)
+    build, paste, extra = _paste_layers(
+        b, (np.cumsum(bits, axis=1) - 1)[ti, b], np.asarray(tgt_wires, dtype=np.int64)[ti],
+        np.asarray(ctrl_wires, dtype=np.int64)[:kb], np.asarray(scratch_wires, dtype=np.int64),
     )
-    bases = np.cumsum([0] + list(copies))
-    if bases[-1] > len(scratch_wires):
-        raise LayoutError("not enough scratch for sparse construction")
-    scr = np.asarray(scratch_wires[: bases[-1]], dtype=np.int64)
-    ctrl_arr = np.asarray(ctrl_wires, dtype=np.int64)
-    build = _doubling_rounds(ctrl_arr[:kb], np.asarray(copies, dtype=np.int64), scr)
-    tgt_arr = np.asarray([tgt_wires[i] for i in keep], dtype=np.int64)
-    paste = []
-    for p in range(int(sched_p.max(initial=-1)) + 1):
-        sel = sched_p == p
-        b_sel, r_sel = sched_b[sel], sched_r[sel]
-        src = np.empty(b_sel.size, dtype=np.int64)
-        first = r_sel == 0
-        src[first] = ctrl_arr[b_sel[first]]
-        src[~first] = scr[bases[b_sel[~first]] + r_sel[~first] - 1]
-        paste.append(np.stack([src, tgt_arr[sched_ti[sel]]], axis=1))
-    return build + paste + list(reversed(build))
+    return build + paste + build[::-1], int(extra.sum())
 
 
 def gen_sparse(
@@ -203,40 +194,13 @@ def gen_sparse(
         raise BudgetExceeded(f"{ones} ones exceed budget {t} (scratch {len(scratch)})")
     d = y.to_dense().astype(np.int64)
     vals = (d << np.arange(y.cols)).sum(axis=1)
-    layers = _sparse_layers(vals, y.cols, list(controls), list(targets), list(scratch))
+    layers, _ = _sparse_layers(vals, y.cols, controls, targets, scratch)
     return levelled_circuit(layers, wires, wires)
 
 
 # ----------------------------------------------------------------------
 # one column-group stack (the log^2-column four-Russians step)
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class CopyPlan:
-    """Copy bookkeeping for one stack.  ``table`` has one row
-    (slice, value, demand, copies, P-block row) per column slice and value
-    in use; ``copy_rows`` holds the extra copy wires, contiguous per row of
-    the table in table order."""
-
-    table: np.ndarray
-    copy_rows: np.ndarray
-
-    @property
-    def total_rows(self) -> int:
-        """Extra rows used beyond the P blocks."""
-        return int(self.copy_rows.size)
-
-    @property
-    def entries(self) -> tuple:
-        """Per (slice, value): (slice, value, demand, copies, wires), the
-        first wire being the P-block row itself."""
-        out, pos = [], 0
-        for g, val, mult, need, prow in self.table.tolist():
-            extra = self.copy_rows[pos : pos + need - 1].tolist()
-            out.append((g, val, mult, need, (prow, *extra)))
-            pos += need - 1
-        return tuple(out)
 
 
 def _slice_widths(total: int, k: int) -> list:
@@ -250,13 +214,12 @@ def _stack_layers(y_dense, widths, ctrl_wires, tgt_wires, mach, c_cap, rng, with
     """Layers writing y (rows = targets, columns = sum(widths) controls,
     cut into consecutive slices of the given widths) into the target rows;
     machinery is restored when ``with_undo`` (a caller reversing the whole
-    stack skips it).  Returns (layers, plan).
+    stack skips it).
 
     Machinery holds, per slice, its P rows and their build scratch, then
-    the copy rows, contiguous per (slice, value).  Schedule: target i takes
-    colour (g + salt[i]) mod c_cap in slice g, so its colours are distinct
-    across slices; within a (slice, value, colour) class the rank-r
-    demander reads copy r of that value (rank 0 reads the P row).
+    the copy rows of _paste_layers, contiguous per (slice, value).
+    Schedule: target i takes colour (g + salt[i]) mod c_cap in slice g, so
+    its colours are distinct across slices.
     """
     n_t = y_dense.shape[0]
     ngroups = len(widths)
@@ -292,53 +255,27 @@ def _stack_layers(y_dense, widths, ctrl_wires, tgt_wires, mach, c_cap, rng, with
 
     salt = rng.integers(0, c_cap, size=n_t)
 
-    # steps 2 and 3 jointly: rank the targets within their (slice, value,
-    # colour) class; rank r reads copy r of the value, so the copy count
-    # per (slice, value) is the largest class over its colours
+    # steps 2 and 3: every (slice, value) in use is a source read from its
+    # P row, and target i pastes it in colour (g + salt[i]) mod c_cap
     gg, rows = np.nonzero(vals.T)
-    v = vals[rows, gg]
-    color = (gg + salt[rows]) % c_cap
-    cell = gg * nv + v
-    cls = cell * c_cap + color
-    order = _stable_order(cls, ngroups * nv * c_cap)
-    gg, rows, v, color, cell, cls = (x[order] for x in (gg, rows, v, color, cell, cls))
-    idx = np.arange(cell.size)
-    new_run = np.r_[True, cls[1:] != cls[:-1]]
-    ranks = idx - np.maximum.accumulate(np.where(new_run, idx, 0))
-    need = np.zeros(ngroups * nv, dtype=np.int64)
-    np.maximum.at(need, cell, ranks + 1)
-    extra = np.maximum(need - 1, 0)
-    copy_start = np.cumsum(extra) - extra
-    n_copies = int(extra.sum())
-    if used + n_copies > mach.size:
-        raise LayoutError("machinery region exhausted")
-    copies = mach[used : used + n_copies]
-    src = mach[p_off[gg] + v - 1]
-    from_copy = ranks > 0
-    src[from_copy] = copies[copy_start[cell[from_copy]] + ranks[from_copy] - 1]
-
-    present = np.flatnonzero(need)
-    p_of_cell = mach[p_off[present // nv] + present % nv - 1]
-    step2 = _doubling_rounds(p_of_cell, extra[present], copies)
-    step3 = _split_by(color, np.stack([src, tgt[rows]], axis=1), c_cap)
-    plan = CopyPlan(
-        np.stack([present // nv, present % nv, np.bincount(cell)[present],
-                  need[present], p_of_cell], axis=1),
-        copies,
+    cell = gg * nv + vals[rows, gg]
+    present = np.bincount(cell, minlength=ngroups * nv) > 0
+    cells = np.flatnonzero(present)
+    step2, step3, _ = _paste_layers(
+        (np.cumsum(present) - 1)[cell], (gg + salt[rows]) % c_cap, tgt[rows],
+        mach[p_off[cells // nv] + cells % nv - 1], mach[used:],
     )
 
     if not with_undo:
-        return step1 + step2 + step3, plan
-    undo = list(reversed(step1 + step2))
-    return step1 + step2 + step3 + undo, plan
+        return step1 + step2 + step3
+    return step1 + step2 + step3 + list(reversed(step1 + step2))
 
 
 def _pick_k(n: int, mach_len: int) -> int:
     k = max(1, (max(n, 2).bit_length() - 1) // 2)
     while k > 1:
-        nz = (1 << k) - 1
-        _, _, _, _, copies = _sparse_schedule(tuple(range(1, nz + 1)), k)
-        if 2 * k * (nz + sum(copies)) <= mach_len // 2:
+        _, nz, s_len = _p_template(k)
+        if 2 * k * (nz + s_len) <= mach_len // 2:
             break
         k -= 1
     return k
@@ -347,43 +284,14 @@ def _pick_k(n: int, mach_len: int) -> int:
 @lru_cache(maxsize=None)
 def _p_template(kb: int):
     """P-block build layers on virtual wires [ctrl | P rows | scratch],
-    translated per slice with one gather."""
+    translated per slice with one gather, and the P rows and scratch rows
+    used.  The scratch offered, kb * nz rows, is at least the kb * 2^(kb-1)
+    pastes, so it never runs short."""
     nz = (1 << kb) - 1
-    _, _, _, _, copies = _sparse_schedule(tuple(range(1, nz + 1)), kb)
-    s_len = sum(copies)
-    layers = _sparse_layers(
-        list(range(1, nz + 1)), kb,
-        list(range(kb)), list(range(kb, kb + nz)),
-        list(range(kb + nz, kb + nz + s_len)),
+    layers, s_len = _sparse_layers(
+        range(1, nz + 1), kb, range(kb), range(kb, kb + nz), range(kb + nz, kb + nz + kb * nz)
     )
     return tuple(layers), nz, s_len
-
-
-def gen_ycol_with_plan(
-    y: F2Matrix,
-    controls: Sequence[int],
-    targets: Sequence[int],
-    machinery: Sequence[int],
-    n_ctx: int,
-    seed: int = 0,
-):
-    """As gen_ycol but also returns the CopyPlan of the schedule."""
-    if y.rows != len(targets) or y.cols != len(controls):
-        raise DimensionMismatch("y shape does not match wire lists")
-    rng = np.random.default_rng(seed)
-    wires = 1 + max(max(controls), max(targets), max(machinery))
-    k = _pick_k(n_ctx, len(machinery))
-    while True:
-        widths = _slice_widths(y.cols, k)
-        try:
-            layers, plan = _stack_layers(
-                y.to_dense(), widths, controls, targets, machinery, copy_cap(n_ctx), rng,
-            )
-            return levelled_circuit(layers, wires, wires), plan
-        except LayoutError:
-            if k == 1:
-                raise
-            k -= 1
 
 
 def gen_ycol(
@@ -397,8 +305,22 @@ def gen_ycol(
     """Fragment writing ``y`` (rows over the target wires, columns over the
     control wires) into the target rows, machinery restored; the schedule
     uses at most 2*ceil(log2 n_ctx) paste layers and O(log n_ctx) depth."""
-    circuit, _ = gen_ycol_with_plan(y, controls, targets, machinery, n_ctx, seed)
-    return circuit
+    if y.rows != len(targets) or y.cols != len(controls):
+        raise DimensionMismatch("y shape does not match wire lists")
+    rng = np.random.default_rng(seed)
+    wires = 1 + max(max(controls), max(targets), max(machinery))
+    k = _pick_k(n_ctx, len(machinery))
+    while True:
+        try:
+            layers = _stack_layers(
+                y.to_dense(), _slice_widths(y.cols, k), controls, targets, machinery,
+                copy_cap(n_ctx), rng,
+            )
+            return levelled_circuit(layers, wires, wires)
+        except LayoutError:
+            if k == 1:
+                raise
+            k -= 1
 
 
 # ----------------------------------------------------------------------
@@ -430,7 +352,7 @@ def _group_layers(dense_group, layout, ctrl_wires, tgt_base, k, rng):
         else:
             tgts, mach = np.arange(region, region + n), np.arange(region + n, region + 3 * n)
             partials.append(region)
-        sub, _ = _stack_layers(
+        sub = _stack_layers(
             dense_group[:, c0 : c0 + width], _slice_widths(width, k),
             ctrl_wires[c0 : c0 + width], tgts, mach, copy_cap(n), rng, with_undo=i == 0,
         )

@@ -469,65 +469,34 @@ _PRIMITIVE = {
 }
 
 
-def _mat_mul_rows(a: list, b: list, k: int) -> list:
-    out = []
-    for i in range(k):
-        acc = 0
-        x = a[i]
-        j = 0
-        while x:
-            if x & 1:
-                acc ^= b[j]
-            x >>= 1
-            j += 1
-        out.append(acc)
-    return out
-
-
-def _factor_transvections(rows: list, k: int) -> list:
-    """(src, dst) ops whose in-order application as "row dst ^= row src"
-    left-multiplies a state by the given invertible matrix."""
-    w = list(rows)
-    ops = []
-    for c in range(k):
-        if not (w[c] >> c) & 1:
-            r = next(r for r in range(c + 1, k) if (w[r] >> c) & 1)
-            w[c] ^= w[r]
-            ops.append((r, c))
-        for r in range(k):
-            if r != c and (w[r] >> c) & 1:
-                w[r] ^= w[c]
-                ops.append((c, r))
-    assert w == [1 << i for i in range(k)]
-    return list(reversed(ops))
-
-
 @lru_cache(maxsize=None)
 def _singer_walk(k: int):
     """Walk X_t = G^t for a generator G of the Singer cycle.
 
     Row p of G^t runs through every nonzero vector as t covers the full
     period 2^k - 1, and consecutive states differ by the constant factor
-    G, so one fixed transvection list advances all blocks per stamp.  For
-    k <= 8 the list comes from _SINGER_OPS (it can never be shorter than k
-    ops, since G - I is invertible); past that G is the companion matrix
-    of a primitive polynomial.  The period is checked at first use.
+    G, so one fixed transvection list advances all blocks per stamp; the
+    states are stepped by that same list.  For k <= 8 the list comes from
+    _SINGER_OPS (it can never be shorter than k ops, since G - I is
+    invertible).  Past that G is the companion matrix of a primitive
+    polynomial: k - 1 adjacent row swaps of three transvections each rotate
+    the rows of I up by one, and each feedback tap i >= 1 is added into
+    the last row, 3(k - 1) + taps ops in all.  The period is checked at
+    first use.
     """
     if k in _SINGER_OPS:
         ops = _SINGER_OPS[k]
     else:
-        poly = _PRIMITIVE[k]
-        ops = _factor_transvections([(1 << (i + 1)) if i + 1 < k else poly for i in range(k)], k)
+        ops = [op for i in range(k - 1) for op in ((i + 1, i), (i, i + 1), (i + 1, i))]
+        ops += [(i - 1, k - 1) for i in range(1, k) if _PRIMITIVE[k] >> i & 1]
     ident = [1 << i for i in range(k)]
     period = (1 << k) - 1
-    gen = list(ident)
-    for src, dst in ops:
-        gen[dst] ^= gen[src]
     states = []
-    cur = gen
+    cur = list(ident)
     for _ in range(period):
-        states.append(cur)
-        cur = _mat_mul_rows(gen, cur, k)
+        for src, dst in ops:
+            cur[dst] ^= cur[src]
+        states.append(list(cur))
     assert states[-1] == ident, "generator order mismatch"
     for p in range(k):
         assert len({st[p] for st in states}) == period

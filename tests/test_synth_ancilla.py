@@ -10,7 +10,6 @@ from cnotsynth import (
     gen_scols,
     gen_sparse,
     gen_ycol,
-    gen_ycol_with_plan,
     invert,
     mat_mul,
     max_scale,
@@ -19,7 +18,14 @@ from cnotsynth import (
     synth_with_ancillae,
     verify_implements,
 )
-from cnotsynth.synth_ancilla import _doubling_rounds, _pick_k, copy_cap
+from cnotsynth import synth_ancilla
+from cnotsynth.synth_ancilla import (
+    _doubling_rounds,
+    _p_template,
+    _pick_k,
+    _sparse_layers,
+    copy_cap,
+)
 
 
 def block(sim, rows, cols):
@@ -68,6 +74,79 @@ class TestDoublingRounds:
         assert len(got) == len(want) == int(counts.max()).bit_length()
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+@pytest.fixture
+def stack_schedules(monkeypatch):
+    """(demand, extra copies) per source of every stack schedule that
+    _paste_layers returns; the P templates are built first, so their
+    schedules are not recorded."""
+    for kb in range(1, 8):
+        _p_template(kb)
+    paste_layers = synth_ancilla._paste_layers
+    got = []
+
+    def record(source, colour, tgt, roots, spare):
+        out = paste_layers(source, colour, tgt, roots, spare)
+        got.append((np.bincount(source, minlength=roots.size), out[2]))
+        return out
+
+    monkeypatch.setattr(synth_ancilla, "_paste_layers", record)
+    return got
+
+
+def _reference_sparse_layers(vals, kb, ctrl_wires, tgt_wires, scratch_wires):
+    """The sparse construction as scheduled before the shared paste
+    scheduler: a per-target loop over the set bits, ranking each paste
+    within its (bit, layer) class, and one paste array per layer."""
+    keep = [i for i, v in enumerate(vals) if v]
+    uses = {}
+    sched = []
+    for t in keep:
+        x, p = int(vals[t]), 0
+        while x:
+            b = (x & -x).bit_length() - 1
+            r = uses.get((b, p), 0)
+            uses[(b, p)] = r + 1
+            sched.append((t, b, p, r))
+            x &= x - 1
+            p += 1
+    copies = [0] * kb
+    for (b, _p), cnt in uses.items():
+        copies[b] = max(copies[b], cnt - 1)
+    bases = np.cumsum([0] + copies)
+    scr = np.asarray(scratch_wires[: bases[-1]], dtype=np.int64)
+    build = _doubling_rounds(np.asarray(ctrl_wires[:kb]), np.asarray(copies), scr)
+    paste = []
+    for p in range(max((e[2] for e in sched), default=-1) + 1):
+        paste.append(np.asarray([
+            (ctrl_wires[b] if r == 0 else scr[bases[b] + r - 1], tgt_wires[t])
+            for t, b, q, r in sched if q == p
+        ]))
+    return build + paste + list(reversed(build)), int(bases[-1])
+
+
+class TestSparseSchedule:
+    @pytest.mark.parametrize("kb", range(1, 8))
+    def test_matches_reference(self, kb):
+        # same arrays in the same order, each with the same gate set; values
+        # drawn with zeros and repeats, plus the P-block template's list
+        rng = np.random.default_rng(kb)
+        cases = [list(range(1, 1 << kb))]
+        for size in (1, 5, 3 << kb):
+            vals = rng.integers(0, 1 << kb, size)
+            vals[rng.random(size) < 0.2] = 0
+            cases.append(vals.tolist())
+        for vals in cases:
+            ctrl = list(range(kb))
+            tgt = list(range(kb, kb + len(vals)))
+            scr = list(range(kb + len(vals), kb + len(vals) + kb * len(vals)))
+            got, used = _sparse_layers(vals, kb, ctrl, tgt, scr)
+            want, want_used = _reference_sparse_layers(vals, kb, ctrl, tgt, scr)
+            assert used == want_used
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert sorted(map(tuple, a.tolist())) == sorted(map(tuple, b.tolist()))
 
 
 class TestGenSparse:
@@ -121,13 +200,13 @@ class TestGenYcol:
         assert simulate_to_matrix(c) == F2Matrix.identity(c.wires)
 
     @pytest.mark.parametrize("n,w", [(64, 8), (128, 18), (256, 32)])
-    def test_block_exact_and_machinery_restored(self, n, w):
+    def test_block_exact_and_machinery_restored(self, n, w, stack_schedules):
         rng = np.random.default_rng(n + w)
         y = F2Matrix.from_dense(rng.integers(0, 2, (n, w)))
         ctrl = list(range(w))
         tgt = list(range(n, 2 * n))
         mach = list(range(2 * n, 4 * n))
-        c, plan = gen_ycol_with_plan(y, ctrl, tgt, mach, n, seed=1)
+        c = gen_ycol(y, ctrl, tgt, mach, n, seed=1)
         sim = simulate_to_matrix(c)
         assert np.array_equal(block(sim, tgt, ctrl), y.to_dense())
         d = sim.to_dense()
@@ -136,7 +215,9 @@ class TestGenYcol:
         # data rows untouched
         for cw in ctrl:
             assert d[cw, cw] == 1 and d[cw].sum() == 1
-        assert plan.total_rows <= n
+        # at most n copy rows per stack
+        assert stack_schedules
+        assert all(extra.sum() <= n for _, extra in stack_schedules)
 
     def test_identity_rows_embedded(self):
         n = 128
@@ -147,16 +228,16 @@ class TestGenYcol:
         sim = simulate_to_matrix(c)
         assert np.array_equal(block(sim, range(n, 2 * n), range(w)), y.to_dense())
 
-    def test_schedule_cap_respected(self):
-        # no more paste layers than 2*ceil(log2 n), per the copy reuse cap
+    def test_schedule_cap_respected(self, stack_schedules):
+        # no more paste layers than 2*ceil(log2 n), per the copy reuse cap:
+        # each (slice, value) has at least ceil(demand / cap) copies
         n = 256
         rng = np.random.default_rng(0)
         y = F2Matrix.from_dense(rng.integers(0, 2, (n, 32)))
-        c, plan = gen_ycol_with_plan(y, list(range(32)), list(range(n, 2 * n)),
-                                     list(range(2 * n, 4 * n)), n, seed=3)
-        for g, val, mult, copies, rows in plan.entries:
-            assert copies >= -(-mult // copy_cap(n))
-            assert len(rows) == copies
+        gen_ycol(y, list(range(32)), list(range(n, 2 * n)), list(range(2 * n, 4 * n)), n, seed=3)
+        assert stack_schedules
+        for demand, extra in stack_schedules:
+            assert np.all(extra + 1 >= -(-demand // copy_cap(n)))
 
 
 class TestGenScols:

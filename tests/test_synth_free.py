@@ -24,6 +24,7 @@ from cnotsynth import (
     synth_simple,
     verify_implements,
 )
+from cnotsynth.synth_free import _PRIMITIVE, _SINGER_OPS, _singer_walk
 from conftest import half_block, rand_unit_lower, rand_unit_upper
 
 
@@ -112,6 +113,44 @@ class TestRowTraversal:
             for m in ts.mats:
                 seen.add(sum(m.get(p, j) << j for j in range(k)))
             assert seen.issuperset(range(1, 1 << k))
+
+
+def _mat_mul_rows(a, b, k):
+    """Rows of a @ b over GF(2), each row a bit mask: row i of the product
+    is the XOR of the rows of b picked by row i of a."""
+    out = []
+    for i in range(k):
+        acc = 0
+        for j in range(k):
+            if a[i] >> j & 1:
+                acc ^= b[j]
+        out.append(acc)
+    return out
+
+
+class TestSingerWalk:
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_states_and_lists(self, k):
+        # the states equal the powers G^1..G^(2^k - 1) of the generator, with
+        # G the list applied to I for k <= 8 and the companion matrix of the
+        # primitive polynomial past that; every row visits every nonzero
+        # vector once
+        states, ops = _singer_walk(k)
+        if k in _SINGER_OPS:
+            assert ops == _SINGER_OPS[k]
+            gen = [1 << i for i in range(k)]
+            for src, dst in ops:
+                gen[dst] ^= gen[src]
+        else:
+            assert len(ops) == {9: 25, 10: 28, 11: 31, 12: 36}[k]
+            gen = [1 << (i + 1) for i in range(k - 1)] + [_PRIMITIVE[k]]
+        want, cur = [], gen
+        for _ in range((1 << k) - 1):
+            want.append(cur)
+            cur = _mat_mul_rows(gen, cur, k)
+        assert states == want
+        for p in range(k):
+            assert sorted(st[p] for st in states) == list(range(1, 1 << k))
 
 
 def recount_ok(pair, strip_rows, strip_cols, cap):
