@@ -16,7 +16,6 @@ from .bounds import (
 )
 from .circuit import (
     Circuit,
-    CnotGate,
     Layer,
     VerifyReport,
     apply_to_bits,
@@ -27,7 +26,6 @@ from .circuit import (
     verify_implements,
 )
 from .errors import (
-    BudgetExceeded,
     CnotSynthError,
     DimensionMismatch,
     LaybyFailure,
@@ -35,7 +33,6 @@ from .errors import (
     MalformedLayer,
     MalformedTree,
     NotLowerTriangular,
-    NotUpperTriangular,
     SingularMatrix,
     TooLarge,
 )
@@ -53,18 +50,12 @@ from .f2 import (
 )
 from .matching import BipartiteGraph, decompose_matchings, max_degree
 from .synth_ancilla import (
-    AncillaLayout,
-    embed_m,
-    gen_scols,
-    gen_sparse,
-    gen_ycol,
     max_scale,
     synth_with_ancillae,
 )
 from .synth_free import (
     LaybyPair,
     TraversalSequence,
-    eliminate_upper_dnc,
     find_layby,
     layby_bound,
     permutation_layers,

@@ -11,24 +11,19 @@ Conventions used everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedLayer, TooLarge
-from .f2 import F2Matrix, _extract_cols, _nwords
-
-
-class CnotGate(NamedTuple):
-    control: int
-    target: int
+from .f2 import F2Matrix, _nwords
 
 
 class Layer:
     """One parallel step: a set of CNOT gates on pairwise-disjoint wires.
 
-    ``pairs`` keeps construction order; comparisons and text output use a
-    lazily computed canonical (control, target)-sorted form.
+    ``pairs`` keeps construction order; comparisons and repr use a lazily
+    computed canonical (control, target)-sorted form.
     """
 
     __slots__ = ("pairs", "_canon")
@@ -61,16 +56,6 @@ class Layer:
             else:
                 self._canon = np.ascontiguousarray(arr[order])
         return self._canon
-
-    @property
-    def gates(self) -> tuple[CnotGate, ...]:
-        return tuple(CnotGate(int(c), int(t)) for c, t in self.canonical())
-
-    def wires(self) -> np.ndarray:
-        return self.pairs.ravel()
-
-    def transposed(self) -> "Layer":
-        return Layer(self.pairs[:, ::-1])
 
     def __len__(self) -> int:
         return self.pairs.shape[0]
@@ -131,6 +116,8 @@ class Circuit:
         return self.wires - self.data
 
     def concat(self, other: "Circuit") -> "Circuit":
+        """``self`` then ``other``.  Reference algebra that tests check
+        synthesis against; no synthesiser calls it."""
         if other.wires != self.wires or other.data != self.data:
             raise DimensionMismatch("concat over different wire counts")
         return Circuit(self.wires, self.data, self.layers + other.layers)
@@ -172,7 +159,11 @@ def simulate_to_matrix(c: Circuit) -> F2Matrix:
 
 
 def apply_to_bits(c: Circuit, bits) -> np.ndarray:
-    """Run the circuit on one assignment of wire values (vector simulation)."""
+    """Run the circuit on one assignment of wire values (vector simulation).
+
+    Reference algebra that tests check synthesis against; no synthesiser
+    calls it.
+    """
     v = np.asarray(bits, dtype=np.uint8).copy()
     if v.shape != (c.wires,):
         raise DimensionMismatch("bit vector length != wires")
@@ -215,7 +206,8 @@ def verify_implements(c: Circuit, m: F2Matrix) -> VerifyReport:
 
 def invert_circuit(c: Circuit) -> Circuit:
     """Reverse the layer order; each layer is an involution so this is the
-    inverse circuit."""
+    inverse circuit.  Reference algebra that tests check synthesis against;
+    no synthesiser calls it."""
     return Circuit(c.wires, c.data, tuple(reversed(c.layers)))
 
 

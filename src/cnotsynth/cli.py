@@ -221,28 +221,6 @@ def emit_csv(records) -> str:
     return buf.getvalue()
 
 
-def parse_csv(text: str) -> list:
-    rows = list(csv.reader(io.StringIO(text)))
-    out = []
-    for row in rows[1:]:
-        kw = dict(zip([f.name for f in fields(BenchRecord)], row))
-        out.append(
-            BenchRecord(
-                method=kw["method"],
-                n=int(kw["n"]),
-                s=int(kw["s"]),
-                ancillae=int(kw["ancillae"]),
-                depth=int(kw["depth"]),
-                size=int(kw["size"]),
-                counting_bound=int(kw["counting_bound"]),
-                fanin_bound=int(kw["fanin_bound"]),
-                ms=float(kw["ms"]),
-                seed=int(kw["seed"]),
-            )
-        )
-    return out
-
-
 def cmd_bench(args) -> int:
     sizes = [int(x) for x in args.sizes.split(",")]
     methods = args.methods.split(",")
@@ -325,16 +303,10 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.fn(args)
-    except (SingularMatrix,) as exc:
+    except (SingularMatrix, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CnotSynthError as exc:
+    except (OSError, ValueError, CnotSynthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,16 +21,8 @@ class NotLowerTriangular(CnotSynthError):
     """Input is not unit lower triangular."""
 
 
-class NotUpperTriangular(CnotSynthError):
-    """Input is not unit upper triangular."""
-
-
 class LaybyFailure(CnotSynthError):
     """No layby satisfying the occurrence bound was found."""
-
-
-class BudgetExceeded(CnotSynthError):
-    """A sparse-construction input exceeds its ones budget."""
 
 
 class LayoutError(CnotSynthError):

@@ -101,9 +101,6 @@ class F2Matrix:
         b = np.unpackbits(self.words.view(np.uint8), axis=1, bitorder="little")
         return b[:, : self.cols]
 
-    def copy(self) -> "F2Matrix":
-        return F2Matrix(self.rows, self.cols, self.words.copy())
-
     # ------------------------------------------------------------------
     # element access and comparison
     # ------------------------------------------------------------------
@@ -125,9 +122,6 @@ class F2Matrix:
 
     def __repr__(self) -> str:
         return f"F2Matrix({self.rows}x{self.cols})"
-
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and self == F2Matrix.identity(self.rows)
 
     # ------------------------------------------------------------------
     # structure helpers
@@ -192,7 +186,8 @@ def mat_mul(a: F2Matrix, b: F2Matrix) -> F2Matrix:
     """Product over GF(2).
 
     Uses an 8-bit combination table over groups of rows of ``b`` so the
-    cost is roughly rows*cols/8 row XORs.
+    cost is roughly rows*cols/8 row XORs.  Reference algebra that tests
+    check synthesis against; no synthesiser calls it.
     """
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.cols} != {b.rows}")
@@ -434,7 +429,11 @@ def plu_decompose(m: F2Matrix) -> PluFactors:
 
 
 def permutation_matrix(perm) -> F2Matrix:
-    """Matrix P with P[perm[i], i] = 1 (value at index i moves to perm[i])."""
+    """Matrix P with P[perm[i], i] = 1 (value at index i moves to perm[i]).
+
+    Reference algebra that tests check synthesis against; no synthesiser
+    calls it.
+    """
     n = len(perm)
     d = np.zeros((n, n), dtype=np.uint8)
     d[np.asarray(perm), np.arange(n)] = 1

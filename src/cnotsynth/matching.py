@@ -20,7 +20,10 @@ from .circuit import _stable_order
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Bipartite multigraph; edges are (left vertex, right vertex, tag)."""
+    """Bipartite multigraph; edges are (left vertex, right vertex, tag).
+
+    Reference for acceptance criterion 8; no synthesiser calls it.
+    """
 
     left_count: int
     right_count: int
@@ -40,6 +43,7 @@ class BipartiteGraph:
 
 
 def max_degree(g: BipartiteGraph) -> int:
+    """Reference for acceptance criterion 8; no synthesiser calls it."""
     degl = [0] * g.left_count
     degr = [0] * g.right_count
     for u, v, _ in g.edges:
@@ -261,6 +265,8 @@ def _kempe_insert(us, vs, color_of, todo, tables: tuple, delta: int) -> None:
 
 def decompose_matchings(g: BipartiteGraph) -> list:
     """Partition the edges into at most max_degree(g) matchings.
+
+    Reference for acceptance criterion 8; no synthesiser calls it.
 
     Returns:
         List of matchings, each a list of (u, v, tag) edges; their multiset

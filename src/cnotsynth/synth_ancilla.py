@@ -30,14 +30,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from .circuit import Circuit, _fold_layers, _stable_order, levelled_circuit
-from .errors import BudgetExceeded, DimensionMismatch, LayoutError
+from .errors import DimensionMismatch, LayoutError
 from .f2 import F2Matrix, invert
 from .synth_free import _split_by, permutation_layers
 
@@ -45,7 +43,8 @@ _PLAIN_LIMIT = 3  # below this the four-Russians machinery cannot pay rent
 
 
 # ----------------------------------------------------------------------
-# layout
+# layout: n data wires, an n-wire mirror block and a 3sn-wire work block;
+# stack i of a column group owns the 3n work wires from 2n + 3ni
 # ----------------------------------------------------------------------
 
 
@@ -59,47 +58,6 @@ def max_scale(n: int) -> int:
 def copy_cap(n: int) -> int:
     """Each copy row is reused at most 2*ceil(log2 n) times."""
     return 2 * max(1, math.ceil(math.log2(max(n, 2))))
-
-
-@dataclass(frozen=True)
-class AncillaLayout:
-    """Wire regions for one embedding: n data wires, an n-wire mirror block
-    and a 3sn-wire work block.  Stack i of a column group owns the 3n work
-    wires from 2n + 3ni: stack 0's region is all machinery, and every other
-    stack's first n wires are its partial block."""
-
-    n: int
-    s: int
-
-    @classmethod
-    def create(cls, n: int, s: int) -> "AncillaLayout":
-        if n < 1 or s < 1:
-            raise DimensionMismatch("need n >= 1 and s >= 1")
-        cap = max_scale(n)
-        if s > cap:
-            warnings.warn(f"ancilla scale {s} clamped to {cap} (= n/log2(n)^2)")
-            s = cap
-        return cls(n, s)
-
-    @property
-    def data_region(self) -> range:
-        return range(0, self.n)
-
-    @property
-    def mirror_region(self) -> range:
-        return range(self.n, 2 * self.n)
-
-    @property
-    def work_region(self) -> range:
-        return range(2 * self.n, (3 * self.s + 2) * self.n)
-
-    @property
-    def total_wires(self) -> int:
-        return (3 * self.s + 2) * self.n
-
-    @property
-    def ancillae(self) -> int:
-        return (3 * self.s + 1) * self.n
 
 
 # ----------------------------------------------------------------------
@@ -172,30 +130,6 @@ def _sparse_layers(vals, kb, ctrl_wires, tgt_wires, scratch_wires) -> tuple:
         np.asarray(ctrl_wires, dtype=np.int64)[:kb], np.asarray(scratch_wires, dtype=np.int64),
     )
     return build + paste + build[::-1], int(extra.sum())
-
-
-def gen_sparse(
-    y: F2Matrix,
-    t: int,
-    controls: Sequence[int],
-    targets: Sequence[int],
-    scratch: Sequence[int],
-    wires: int,
-) -> Circuit:
-    """Fragment adding y's rows (bit masks over the control wires) to the
-    target wires with all scratch wires restored; depth O(log t + y.cols).
-
-    Raises:
-        BudgetExceeded: if y has more than ``t`` ones or the scratch region
-            is smaller than the budget.
-    """
-    ones = int(y.row_weights().sum())
-    if ones > t or t > len(scratch):
-        raise BudgetExceeded(f"{ones} ones exceed budget {t} (scratch {len(scratch)})")
-    d = y.to_dense().astype(np.int64)
-    vals = (d << np.arange(y.cols)).sum(axis=1)
-    layers, _ = _sparse_layers(vals, y.cols, controls, targets, scratch)
-    return levelled_circuit(layers, wires, wires)
 
 
 # ----------------------------------------------------------------------
@@ -294,35 +228,6 @@ def _p_template(kb: int):
     return tuple(layers), nz, s_len
 
 
-def gen_ycol(
-    y: F2Matrix,
-    controls: Sequence[int],
-    targets: Sequence[int],
-    machinery: Sequence[int],
-    n_ctx: int,
-    seed: int = 0,
-) -> Circuit:
-    """Fragment writing ``y`` (rows over the target wires, columns over the
-    control wires) into the target rows, machinery restored; the schedule
-    uses at most 2*ceil(log2 n_ctx) paste layers and O(log n_ctx) depth."""
-    if y.rows != len(targets) or y.cols != len(controls):
-        raise DimensionMismatch("y shape does not match wire lists")
-    rng = np.random.default_rng(seed)
-    wires = 1 + max(max(controls), max(targets), max(machinery))
-    k = _pick_k(n_ctx, len(machinery))
-    while True:
-        try:
-            layers = _stack_layers(
-                y.to_dense(), _slice_widths(y.cols, k), controls, targets, machinery,
-                copy_cap(n_ctx), rng,
-            )
-            return levelled_circuit(layers, wires, wires)
-        except LayoutError:
-            if k == 1:
-                raise
-            k -= 1
-
-
 # ----------------------------------------------------------------------
 # s-way parallelisation, sequential embedding, full synthesis
 # ----------------------------------------------------------------------
@@ -337,11 +242,12 @@ def _fanin_layers(partial_bases: list, tgt_base: int, n_t: int) -> list:
     return _fold_layers([base + rows for base in partial_bases], tgt_base + rows)
 
 
-def _group_layers(dense_group, layout, ctrl_wires, tgt_base, k, rng):
+def _group_layers(dense_group, n, ctrl_wires, tgt_base, k, rng):
     """One group of <= s*2k^2 columns, s stacks on disjoint wires: stack 0
-    pastes straight into the target rows and undoes its machinery; stacks
-    1..s-1 paste into partial blocks, fanned in before their builds reverse."""
-    n = layout.n
+    takes its whole region as machinery, pastes straight into the target
+    rows and undoes its machinery; stacks 1..s-1 paste into partial blocks,
+    the first n wires of their regions, fanned in before their builds
+    reverse."""
     w1 = 2 * k * k
     direct, build, partials = [], [], []
     for i, width in enumerate(_slice_widths(dense_group.shape[1], w1)):
@@ -366,10 +272,11 @@ def _plain_layers(m_dense, ctrl_base, tgt_base) -> list:
     return list(np.stack([ctrl_base + cols, tgt_base + rows], axis=1)[:, None])
 
 
-def _embed_layers(m_dense, layout: AncillaLayout, ctrl_base: int, tgt_base: int, seed: int) -> list:
-    """Layers adding M (columns read from ctrl wires) into the target rows,
-    work region restored; column groups of s*2k^2 run sequentially."""
-    n, s = layout.n, layout.s
+def _embed_layers(m_dense, s: int, ctrl_base: int, tgt_base: int, seed: int) -> list:
+    """Layers adding the n x n matrix M (columns read from ctrl wires) into
+    the target rows, work region restored; column groups of s*2k^2 run
+    sequentially."""
+    n = m_dense.shape[0]
     if n <= _PLAIN_LIMIT:
         return _plain_layers(m_dense, ctrl_base, tgt_base)
     k0 = _pick_k(n, 2 * n)
@@ -382,7 +289,7 @@ def _embed_layers(m_dense, layout: AncillaLayout, ctrl_base: int, tgt_base: int,
                 width = min(t_w, n - g0)
                 layers.extend(
                     _group_layers(
-                        m_dense[:, g0 : g0 + width], layout,
+                        m_dense[:, g0 : g0 + width], n,
                         list(range(ctrl_base + g0, ctrl_base + g0 + width)),
                         tgt_base, k, rng,
                     )
@@ -391,30 +298,6 @@ def _embed_layers(m_dense, layout: AncillaLayout, ctrl_base: int, tgt_base: int,
         except LayoutError:
             continue
     return _plain_layers(m_dense, ctrl_base, tgt_base)
-
-
-def gen_scols(y: F2Matrix, layout: AncillaLayout, seed: int = 0) -> Circuit:
-    """Fragment writing one column group ``y`` (n rows, <= s*2k^2 columns
-    against the first data wires) into the mirror rows as _group_layers
-    does: stack 0 straight, stacks 1..s-1 through an O(log s) fan-in."""
-    n = layout.n
-    if y.rows != n:
-        raise DimensionMismatch("y must have n rows")
-    k = _pick_k(n, 2 * n)
-    if y.cols > layout.s * 2 * k * k:
-        raise LayoutError("more columns than one group can hold")
-    rng = np.random.default_rng(seed)
-    layers = _group_layers(y.to_dense(), layout, list(range(y.cols)), n, k, rng)
-    return levelled_circuit(layers, layout.total_wires, layout.total_wires)
-
-
-def embed_m(m: F2Matrix, layout: AncillaLayout, seed: int = 0) -> Circuit:
-    """Fragment mapping |x, j, 0> to |x, j xor Mx, 0> on the layout wires;
-    depth O(n / (s log n))."""
-    if m.rows != layout.n or m.cols != layout.n:
-        raise DimensionMismatch("matrix must be n x n")
-    layers = _embed_layers(m.to_dense(), layout, 0, layout.n, seed)
-    return levelled_circuit(layers, layout.total_wires, layout.total_wires)
 
 
 def synth_with_ancillae(m: F2Matrix, s: int, seed: int = 0) -> Circuit:
@@ -428,12 +311,18 @@ def synth_with_ancillae(m: F2Matrix, s: int, seed: int = 0) -> Circuit:
     if m.rows != m.cols:
         raise DimensionMismatch("square matrix required")
     n = m.rows
-    layout = AncillaLayout.create(n, s)
+    if s < 1:
+        raise DimensionMismatch("need n >= 1 and s >= 1")
+    cap = max_scale(n)
+    if s > cap:
+        warnings.warn(f"ancilla scale {s} clamped to {cap} (= n/log2(n)^2)")
+        s = cap
+    wires = (3 * s + 2) * n
     minv = invert(m)
-    layers = _embed_layers(m.to_dense(), layout, 0, n, seed)
-    layers += _embed_layers(minv.to_dense(), layout, n, 0, seed + 1)
-    swap = np.arange(layout.total_wires)
+    layers = _embed_layers(m.to_dense(), s, 0, n, seed)
+    layers += _embed_layers(minv.to_dense(), s, n, 0, seed + 1)
+    swap = np.arange(wires)
     swap[:n] = np.arange(n, 2 * n)
     swap[n : 2 * n] = np.arange(n)
     layers += [l.pairs for l in permutation_layers(swap).layers]
-    return levelled_circuit(layers, layout.total_wires, n)
+    return levelled_circuit(layers, wires, n)

@@ -213,7 +213,7 @@ class TestTextFormat:
         head = f"CNOTC v1 wires={1 << 62} data=2\n"
         body = "0>1\n1>0 5>4\n123456789012345678>0\n"
         c = parse_circuit(head + body)
-        assert c.depth == 3 and c.layers[2].gates == ((123456789012345678, 0),)
+        assert c.depth == 3 and c.layers[2].pairs.tolist() == [[123456789012345678, 0]]
         with pytest.raises(MalformedLayer):
             parse_circuit(head + body + "0>1 1>3\n")
 

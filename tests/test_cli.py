@@ -1,5 +1,8 @@
+import csv
+import io
 import math
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from cnotsynth import (
     random_gl,
     verify_implements,
 )
-from cnotsynth.cli import BenchRecord, bench_records, emit_csv, main, parse_csv
+from cnotsynth.cli import BenchRecord, bench_records, emit_csv, main
 
 
 @pytest.fixture
@@ -27,6 +30,16 @@ def workdir(tmp_path):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def parse_csv(text):
+    """BenchRecords from the CSV that emit_csv writes, each field cast to
+    its declared type."""
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == [f.name for f in fields(BenchRecord)]
+    cast = {"str": str, "int": int, "float": float}
+    return [BenchRecord(*(cast[f.type](v) for f, v in zip(fields(BenchRecord), row)))
+            for row in rows[1:]]
 
 
 class TestSynth:
@@ -67,6 +80,11 @@ class TestSynth:
     def test_singular_exit_2(self, workdir):
         (workdir / "sing.mat").write_text("2 2\n11\n11\n")
         assert run(["synth", "--in", workdir / "sing.mat"]) == 2
+
+    def test_non_square_exit_1(self, workdir, capsys):
+        (workdir / "wide.mat").write_text("2 3\n100\n010\n")
+        assert run(["synth", "--in", workdir / "wide.mat"]) == 1
+        assert "error: PLU of a non-square matrix" in capsys.readouterr().err
 
     def test_tree_methods(self, workdir, capsys):
         rc = run(["synth", "--method", "tree-contract", "--in", workdir / "t.sexp",
@@ -124,6 +142,12 @@ class TestBoundsOracleRandomTree:
         run(["random", "--n", 12, "--seed", 9, "--out", a])
         run(["random", "--n", 12, "--seed", 9, "--out", b])
         assert a.read_text() == b.read_text()
+
+    @pytest.mark.parametrize("text", ["(L 0 1", "("])
+    def test_truncated_tree_exit_1(self, workdir, capsys, text):
+        (workdir / "cut.sexp").write_text(text)
+        assert run(["tree", "--in", workdir / "cut.sexp"]) == 1
+        assert "error: unexpected end of tree expression" in capsys.readouterr().err
 
     def test_tree_contract_verified(self, workdir, capsys):
         rc = run(["tree", "--in", workdir / "t.sexp", "--method", "contract",

@@ -15,15 +15,11 @@ import numpy as np
 import pytest
 
 from cnotsynth import (
-    AncillaLayout,
     Circuit,
     F2Matrix,
     Layer,
     contract_tree,
-    eliminate_upper_dnc,
-    embed_m,
     format_circuit,
-    gen_ycol,
     mat_mul,
     permutation_matrix,
     random_gl,
@@ -34,7 +30,8 @@ from cnotsynth import (
     tree_to_circuit_sequential,
     verify_implements,
 )
-from cnotsynth.circuit import _xor_rows, level_asap, trusted_layer
+from cnotsynth.circuit import _xor_rows, level_asap, levelled_circuit, trusted_layer
+from cnotsynth.synth_ancilla import _embed_layers, _pick_k, _slice_widths, _stack_layers, copy_cap
 from cnotsynth.synth_free import (
     _dnc_upper_layers,
     _elim_upper_layers,
@@ -87,6 +84,10 @@ def levelled(seq, wires):
     out = list(seq)
     level_asap(out, wires)
     return out
+
+
+def circuit_of(seq, wires):
+    return levelled_circuit(list(seq), wires, wires)
 
 
 def check_levelled(seq, wires):
@@ -179,7 +180,7 @@ class TestLevelAsap:
         u = structured_upper(kind, n)
         check_levelled(_dnc_upper_layers(u, 3), n)
         check_levelled(_flip_reverse(_dnc_upper_layers(u, 1)), n)
-        c = eliminate_upper_dnc(u, seed=3)
+        c = circuit_of(_dnc_upper_layers(u, 3), n)
         assert mat_mul(simulate_to_matrix(c), u) == F2Matrix.identity(n)
         for m in (mat_mul(u.transpose(), u), random_gl(n, n)):
             assert verify_implements(synth_dnc(m, seed=1), m).ok
@@ -229,7 +230,7 @@ class TestLockStepStaircase:
             format_circuit(Circuit(n, n, [trusted_layer(a) for a in levelled(seq + blocks, n)]))
             for seq in (per_leaf, _dnc_upper_layers(u, seed)[: -len(blocks)])
         ]
-        texts.append(format_circuit(eliminate_upper_dnc(u, seed=seed)))
+        texts.append(format_circuit(circuit_of(_dnc_upper_layers(u, seed), n)))
         digests = [hashlib.sha256(t.encode()).hexdigest() for t in texts]
         assert digests[0] == digests[1] == digests[2], first_difference(texts)
 
@@ -262,10 +263,14 @@ def structured_gl(kind, n):
 
 
 def ycol_circuit(m, n):
-    """gen_ycol writing m's first columns into rows n..2n-1."""
+    """One ancilla column stack (_stack_layers) writing m's first columns
+    into rows n..2n-1, with rows 2n..4n-1 as machinery."""
     w = min(n, 18)
-    y = F2Matrix.from_dense(m.to_dense()[:, :w])
-    return gen_ycol(y, list(range(w)), list(range(n, 2 * n)), list(range(2 * n, 4 * n)), n, seed=2)
+    layers = _stack_layers(
+        m.to_dense()[:, :w], _slice_widths(w, _pick_k(n, 2 * n)), list(range(w)),
+        list(range(n, 2 * n)), list(range(2 * n, 4 * n)), copy_cap(n), np.random.default_rng(2),
+    )
+    return circuit_of(layers, 4 * n)
 
 
 MATRIX_METHODS = {
@@ -273,7 +278,7 @@ MATRIX_METHODS = {
     "dnc": lambda m, n: synth_dnc(m, seed=1),
     "ancilla_s1": lambda m, n: synth_with_ancillae(m, 1, seed=1),
     "ancilla_s2": lambda m, n: synth_with_ancillae(m, 2, seed=1),
-    "embed_m": lambda m, n: embed_m(m, AncillaLayout.create(n, 1), seed=1),
+    "embed_m": lambda m, n: circuit_of(_embed_layers(m.to_dense(), 1, 0, n, 1), 5 * n),
     "gen_ycol": ycol_circuit,
 }
 

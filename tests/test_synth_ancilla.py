@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 
 from cnotsynth import (
-    AncillaLayout,
-    BudgetExceeded,
+    DimensionMismatch,
     F2Matrix,
     apply_to_bits,
-    embed_m,
-    gen_scols,
-    gen_sparse,
-    gen_ycol,
-    invert,
-    mat_mul,
     max_scale,
     random_gl,
     simulate_to_matrix,
@@ -19,13 +12,28 @@ from cnotsynth import (
     verify_implements,
 )
 from cnotsynth import synth_ancilla
+from cnotsynth.circuit import levelled_circuit
 from cnotsynth.synth_ancilla import (
     _doubling_rounds,
+    _embed_layers,
+    _group_layers,
     _p_template,
     _pick_k,
+    _slice_widths,
     _sparse_layers,
+    _stack_layers,
     copy_cap,
 )
+
+# The fragment tests below run the private builders that synth_with_ancillae
+# runs, levelled on their own: an embedding (_embed_layers) on n data wires,
+# an n-wire mirror block and 3sn work wires; one column group of s stacks
+# (_group_layers) writing into the mirror rows; one stack (_stack_layers);
+# and the sparse block (_sparse_layers).
+
+
+def levelled(layers, wires):
+    return levelled_circuit(list(layers), wires, wires)
 
 
 def block(sim, rows, cols):
@@ -33,18 +41,50 @@ def block(sim, rows, cols):
     return d[np.ix_(list(rows), list(cols))]
 
 
+def sparse_circuit(y, ctrl, tgt, scratch):
+    """Rows of the 0/1 array y, bit masks over the control wires, added to
+    the target wires through the scratch wires."""
+    vals = (np.asarray(y, dtype=np.int64) << np.arange(y.shape[1])).sum(axis=1)
+    layers, _ = _sparse_layers(vals, y.shape[1], ctrl, tgt, scratch)
+    return levelled(layers, 1 + max(*ctrl, *tgt, *scratch))
+
+
+def stack_circuit(y, ctrl, tgt, mach, n, seed=0):
+    """One stack writing y into the target rows, its slices as wide as
+    _pick_k allows for this machinery, as a column group runs it."""
+    widths = _slice_widths(y.cols, _pick_k(n, len(mach)))
+    rng = np.random.default_rng(seed)
+    layers = _stack_layers(y.to_dense(), widths, ctrl, tgt, mach, copy_cap(n), rng)
+    return levelled(layers, 1 + max(*ctrl, *tgt, *mach))
+
+
+def group_circuit(y, s, seed=0):
+    """One column group of y's columns, read from the first data wires and
+    written into the mirror rows, on (3s+2)n wires."""
+    n = y.rows
+    rng = np.random.default_rng(seed)
+    layers = _group_layers(y.to_dense(), n, list(range(y.cols)), n, _pick_k(n, 2 * n), rng)
+    return levelled(layers, (3 * s + 2) * n)
+
+
+def embed_circuit(m, s, seed=0):
+    """|x, j, 0> -> |x, j xor Mx, 0> on (3s+2)n wires."""
+    return levelled(_embed_layers(m.to_dense(), s, 0, m.rows, seed), (3 * s + 2) * m.rows)
+
+
 class TestLayout:
-    def test_regions_partition_wires(self):
-        lay = AncillaLayout.create(128, 2)  # max_scale(128) = 2, no clamping
-        assert lay.total_wires == (3 * 2 + 2) * 128
-        assert lay.ancillae == (3 * 2 + 1) * 128
-        spans = list(lay.data_region) + list(lay.mirror_region) + list(lay.work_region)
-        assert spans == list(range(lay.total_wires))
+    """The ancilla scale s that synth_with_ancillae accepts."""
 
     def test_scale_clamped_with_warning(self):
-        with pytest.warns(UserWarning):
-            lay = AncillaLayout.create(16, 5)
-        assert lay.s == max_scale(16) == 1
+        m = random_gl(16, 0)
+        with pytest.warns(UserWarning, match="ancilla scale 5 clamped to 1"):
+            c = synth_with_ancillae(m, 5)
+        assert max_scale(16) == 1 and c.ancillae == (3 * 1 + 1) * 16
+        assert verify_implements(c, m).ok
+
+    def test_scale_below_one_rejected(self):
+        with pytest.raises(DimensionMismatch, match="need n >= 1 and s >= 1"):
+            synth_with_ancillae(random_gl(16, 0), 0)
 
 
 class TestDoublingRounds:
@@ -150,17 +190,19 @@ class TestSparseSchedule:
 
 
 class TestGenSparse:
+    """The sparse block: _sparse_layers."""
+
     def test_zero_matrix_empty(self):
-        y = F2Matrix.zeros(4, 3)
-        c = gen_sparse(y, 6, [0, 1, 2], [3, 4, 5, 6], [7, 8, 9, 10, 11, 12], 13)
+        y = np.zeros((4, 3), dtype=np.uint8)
+        c = sparse_circuit(y, [0, 1, 2], [3, 4, 5, 6], [7, 8, 9, 10, 11, 12])
         assert c.size == 0
 
     def test_single_one_depth_le_3(self):
-        y = F2Matrix.from_dense([[0, 1, 0], [0, 0, 0]])
-        c = gen_sparse(y, 4, [0, 1, 2], [3, 4], [5, 6, 7, 8], 9)
+        y = np.array([[0, 1, 0], [0, 0, 0]], dtype=np.uint8)
+        c = sparse_circuit(y, [0, 1, 2], [3, 4], [5, 6, 7, 8])
         assert c.depth <= 3
         sim = simulate_to_matrix(c)
-        assert np.array_equal(block(sim, [3, 4], [0, 1, 2]), y.to_dense())
+        assert np.array_equal(block(sim, [3, 4], [0, 1, 2]), y)
         # scratch restored
         assert np.array_equal(block(sim, range(5, 9), range(9)),
                               np.eye(9, dtype=np.uint8)[5:])
@@ -168,35 +210,29 @@ class TestGenSparse:
     def test_all_vectors_block(self):
         # the full P stack: every nonzero 4-bit sum lands in its target row
         k = 4
-        y = F2Matrix.from_dense(
-            [[(v >> b) & 1 for b in range(k)] for v in range(1 << k)]
-        )
+        y = np.array([[(v >> b) & 1 for b in range(k)] for v in range(1 << k)], dtype=np.uint8)
         ctrl = list(range(k))
         tgt = list(range(k, k + (1 << k)))
         scr = list(range(k + (1 << k), k + (1 << k) + 40))
-        c = gen_sparse(y, 40, ctrl, tgt, scr, scr[-1] + 1)
+        c = sparse_circuit(y, ctrl, tgt, scr)
         sim = simulate_to_matrix(c)
-        assert np.array_equal(block(sim, tgt, ctrl), y.to_dense())
+        assert np.array_equal(block(sim, tgt, ctrl), y)
         assert c.depth <= 3 * k + 4
         for w in scr:
             row = sim.to_dense()[w]
             assert row[w] == 1 and row.sum() == 1
 
-    def test_budget_enforced(self):
-        y = F2Matrix.from_dense(np.ones((4, 3), dtype=np.uint8))
-        with pytest.raises(BudgetExceeded):
-            gen_sparse(y, 2, [0, 1, 2], [3, 4, 5, 6], [7, 8], 9)
-
 
 class TestGenYcol:
+    """One column stack: _stack_layers."""
+
     def test_zero_is_net_identity(self):
         n = 64
         y = F2Matrix.zeros(n, 8)
-        lay = AncillaLayout.create(n, 1)
         ctrl = list(range(8))
         tgt = list(range(n, 2 * n))
         mach = list(range(2 * n, 4 * n))
-        c = gen_ycol(y, ctrl, tgt, mach, n)
+        c = stack_circuit(y, ctrl, tgt, mach, n)
         assert simulate_to_matrix(c) == F2Matrix.identity(c.wires)
 
     @pytest.mark.parametrize("n,w", [(64, 8), (128, 18), (256, 32)])
@@ -206,7 +242,7 @@ class TestGenYcol:
         ctrl = list(range(w))
         tgt = list(range(n, 2 * n))
         mach = list(range(2 * n, 4 * n))
-        c = gen_ycol(y, ctrl, tgt, mach, n, seed=1)
+        c = stack_circuit(y, ctrl, tgt, mach, n, seed=1)
         sim = simulate_to_matrix(c)
         assert np.array_equal(block(sim, tgt, ctrl), y.to_dense())
         d = sim.to_dense()
@@ -223,8 +259,8 @@ class TestGenYcol:
         n = 128
         w = 18
         y = F2Matrix.from_dense(np.eye(n, w, dtype=np.uint8))
-        c = gen_ycol(y, list(range(w)), list(range(n, 2 * n)),
-                     list(range(2 * n, 4 * n)), n)
+        c = stack_circuit(y, list(range(w)), list(range(n, 2 * n)),
+                          list(range(2 * n, 4 * n)), n)
         sim = simulate_to_matrix(c)
         assert np.array_equal(block(sim, range(n, 2 * n), range(w)), y.to_dense())
 
@@ -234,21 +270,22 @@ class TestGenYcol:
         n = 256
         rng = np.random.default_rng(0)
         y = F2Matrix.from_dense(rng.integers(0, 2, (n, 32)))
-        gen_ycol(y, list(range(32)), list(range(n, 2 * n)), list(range(2 * n, 4 * n)), n, seed=3)
+        stack_circuit(y, list(range(32)), list(range(n, 2 * n)), list(range(2 * n, 4 * n)), n, seed=3)
         assert stack_schedules
         for demand, extra in stack_schedules:
             assert np.all(extra + 1 >= -(-demand // copy_cap(n)))
 
 
 class TestGenScols:
+    """One column group of s parallel stacks: _group_layers."""
+
     def test_s1_degenerates_to_ycol(self):
         n = 64
-        lay = AncillaLayout.create(n, 1)
         rng = np.random.default_rng(1)
         y = F2Matrix.from_dense(rng.integers(0, 2, (n, 8)))
-        c = gen_scols(y, lay, seed=0)
+        c = group_circuit(y, 1)
         sim = simulate_to_matrix(c)
-        assert np.array_equal(block(sim, lay.mirror_region, range(8)), y.to_dense())
+        assert np.array_equal(block(sim, range(n, 2 * n), range(8)), y.to_dense())
 
     @pytest.mark.parametrize("s", [2, 3, 4])
     def test_parallel_stacks_block_exact(self, s):
@@ -258,14 +295,13 @@ class TestGenScols:
         # restored; the mirror rows gain y on the data columns, and only the
         # work columns, zero under the ancilla contract, may pollute them.
         n = 256
-        lay = AncillaLayout.create(n, s)
         k = _pick_k(n, 2 * n)
         for short in (0, 7):
             width = s * 2 * k * k - short
             rng = np.random.default_rng(10 * s + short)
             y = F2Matrix.from_dense(rng.integers(0, 2, (n, width)))
-            c = gen_scols(y, lay, seed=s)
-            want = np.eye(lay.total_wires, dtype=np.uint8)
+            c = group_circuit(y, s, seed=s)
+            want = np.eye(c.wires, dtype=np.uint8)
             want[n : 2 * n, :width] ^= y.to_dense()
             d = simulate_to_matrix(c).to_dense()
             assert np.array_equal(d[: 2 * n, : 2 * n], want[: 2 * n, : 2 * n])
@@ -274,19 +310,18 @@ class TestGenScols:
 
 
 class TestEmbed:
+    """One embedding: _embed_layers."""
+
     def test_identity_block(self):
         n = 64
-        lay = AncillaLayout.create(n, 1)
-        c = embed_m(F2Matrix.identity(n), lay)
+        c = embed_circuit(F2Matrix.identity(n), 1)
         sim = simulate_to_matrix(c)
-        assert np.array_equal(block(sim, lay.mirror_region, lay.data_region),
-                              np.eye(n, dtype=np.uint8))
+        assert np.array_equal(block(sim, range(n, 2 * n), range(n)), np.eye(n, dtype=np.uint8))
 
     def test_mirror_holds_mx_under_vector_sim(self):
         n = 256
-        lay = AncillaLayout.create(n, 1)
         m = random_gl(n, 3)
-        c = embed_m(m, lay)
+        c = embed_circuit(m, 1)
         rng = np.random.default_rng(0)
         md = m.to_dense().astype(int)
         for _ in range(100):
@@ -302,8 +337,7 @@ class TestEmbed:
         m = random_gl(256, 9)
         depths = []
         for s in (1, 2):
-            lay = AncillaLayout.create(256, s)
-            depths.append(embed_m(m, lay, seed=1).depth)
+            depths.append(embed_circuit(m, s, seed=1).depth)
         assert depths[1] <= depths[0]
 
 
@@ -352,15 +386,14 @@ class TestSynthWithAncillae:
         # the M and M^-1 embeddings cancel on the data block
         n = 64
         m = random_gl(n, 8)
-        lay = AncillaLayout.create(n, 1)
-        forward = embed_m(m, lay)
+        forward = embed_circuit(m, 1)
         sim_f = simulate_to_matrix(forward)
         c_full = synth_with_ancillae(m, 1)
         sim = simulate_to_matrix(c_full)
         # top-left block of the full circuit is m, bottom-left zero
         assert np.array_equal(block(sim, range(n), range(n)), m.to_dense())
         assert not block(sim, range(n, c_full.wires), range(n)).any()
-        assert np.array_equal(block(sim_f, lay.mirror_region, range(n)), m.to_dense())
+        assert np.array_equal(block(sim_f, range(n, 2 * n), range(n)), m.to_dense())
 
 
 # synth_with_ancillae(random_gl(n, seed), s, seed=seed).size when every stack

@@ -7,8 +7,6 @@ from cnotsynth import (
     F2Matrix,
     LaybyFailure,
     NotLowerTriangular,
-    NotUpperTriangular,
-    eliminate_upper_dnc,
     find_layby,
     invert_circuit,
     layby_bound,
@@ -24,7 +22,8 @@ from cnotsynth import (
     synth_simple,
     verify_implements,
 )
-from cnotsynth.synth_free import _PRIMITIVE, _SINGER_OPS, _singer_walk
+from cnotsynth.circuit import levelled_circuit
+from cnotsynth.synth_free import _PRIMITIVE, _SINGER_OPS, _dnc_upper_layers, _singer_walk
 from conftest import half_block, rand_unit_lower, rand_unit_upper
 
 
@@ -199,27 +198,30 @@ class TestFindLayby:
             assert (pair.b.words ^ strip.words == pair.c_mat.words).all()
 
 
+def levelled(layers, wires):
+    return levelled_circuit(list(layers), wires, wires)
+
+
 class TestEliminateUpperDnc:
+    """The divide-and-conquer reduction of a unit upper triangular factor,
+    _dnc_upper_layers, levelled: it simulates the factor's inverse."""
+
     def test_identity_depth_zero(self):
-        assert eliminate_upper_dnc(F2Matrix.identity(256)).depth == 0
+        assert levelled(_dnc_upper_layers(F2Matrix.identity(256), 0), 256).depth == 0
 
     @pytest.mark.parametrize("n", [65, 100, 256])
     def test_maps_to_identity(self, n):
         for seed in range(3):
             u = rand_unit_upper(n, seed)
-            c = eliminate_upper_dnc(u, seed=seed)
+            c = levelled(_dnc_upper_layers(u, seed), n)
             assert mat_mul(simulate_to_matrix(c), u) == F2Matrix.identity(n)
-
-    def test_rejects_non_upper(self):
-        with pytest.raises(NotUpperTriangular):
-            eliminate_upper_dnc(F2Matrix.from_dense([[1, 0], [1, 1]]))
 
     @pytest.mark.slow
     def test_depth_ratio_non_diverging(self):
         ratios = []
         for n in (512, 1024, 2048):
             u = rand_unit_upper(n, n)
-            c = eliminate_upper_dnc(u)
+            c = levelled(_dnc_upper_layers(u, 0), n)
             assert mat_mul(simulate_to_matrix(c), u) == F2Matrix.identity(n)
             ratios.append(c.depth / (n / math.log2(n)))
         for a, b in zip(ratios, ratios[1:]):

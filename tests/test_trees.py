@@ -29,6 +29,8 @@ class TestTreeValidation:
     def test_bad_side_rejected(self):
         with pytest.raises(MalformedTree):
             CnotTree.build(("X", 0, 1))
+        with pytest.raises(MalformedTree):
+            parse_tree("(leaf 0 1)")
 
 
 class TestSequential:
@@ -131,3 +133,24 @@ class TestTreeFormat:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ValueError):
             parse_tree("(L 0 1) junk")
+
+    @pytest.mark.parametrize("text", ["(L 0 1", "(", ""])
+    def test_truncated_input_rejected(self, text):
+        with pytest.raises(ValueError, match="unexpected end of tree expression"):
+            parse_tree(text)
+
+    def test_deep_caterpillar(self):
+        # far deeper than Python's recursion limit: ((0 1) 2) ... 4999
+        n = 5000
+        text = "(L " * (n - 1) + "0 " + " ".join(f"{i})" for i in range(1, n)) + "\n"
+        t = parse_tree(text)
+        assert format_tree(t) == text
+        assert parse_tree(format_tree(t)) == t
+        nested = 0
+        for i in range(1, n):
+            nested = ("L", nested, i)
+        assert CnotTree.build(nested) == t
+        seq = tree_to_circuit_sequential(t)
+        c = contract_tree(t)
+        assert seq.depth == n - 1 and c.depth < 64
+        assert simulate_to_matrix(c) == simulate_to_matrix(seq)
