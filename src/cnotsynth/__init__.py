@@ -29,7 +29,6 @@ from .errors import (
     CnotSynthError,
     DimensionMismatch,
     LaybyFailure,
-    LayoutError,
     MalformedLayer,
     MalformedTree,
     NotLowerTriangular,

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, fields
 
 from . import bounds as bounds_mod
-from .circuit import format_circuit, parse_circuit, verify_implements
+from .circuit import format_circuit, parse_circuit, simulate_to_matrix, verify_implements
 from .errors import CnotSynthError, SingularMatrix, TooLarge
 from .f2 import F2Matrix, format_matrix, parse_matrix, random_gl
 from .synth_ancilla import synth_with_ancillae
@@ -53,18 +53,24 @@ def _synthesise(method: str, m: F2Matrix, scale: int, seed: int):
 
 
 def cmd_synth(args) -> int:
+    """Synthesise; ``--verify`` checks a matrix method with verify_implements
+    and a tree method against the tree's sequential circuit."""
+    source = None
     if args.method in _TREE_METHODS:
-        circuit = _TREE_METHODS[args.method](parse_tree(_read(args.infile)))
-        source = None
+        tree = parse_tree(_read(args.infile))
+        circuit = _TREE_METHODS[args.method](tree)
     else:
         source = parse_matrix(_read(args.infile))
         circuit = _synthesise(args.method, source, args.ancilla_scale, args.seed)
     if args.out:
         _write(args.out, format_circuit(circuit))
     verified = "skipped"
-    if args.verify and source is not None:
-        report = verify_implements(circuit, source)
-        verified = "ok" if report.ok else "FAIL"
+    if args.verify:
+        if source is not None:
+            ok = verify_implements(circuit, source).ok
+        else:
+            ok = simulate_to_matrix(circuit) == simulate_to_matrix(tree_to_circuit_sequential(tree))
+        verified = "ok" if ok else "FAIL"
     n = circuit.data
     _summary(
         method=args.method,
@@ -139,28 +145,6 @@ def cmd_random(args) -> int:
     return 0
 
 
-def cmd_tree(args) -> int:
-    tree = parse_tree(_read(args.infile))
-    seq = tree_to_circuit_sequential(tree)
-    circuit = seq if args.method == "seq" else contract_tree(tree)
-    if args.out:
-        _write(args.out, format_circuit(circuit))
-    equivalent = "skipped"
-    if args.verify_against_sequential:
-        from .circuit import simulate_to_matrix
-
-        equivalent = "ok" if simulate_to_matrix(circuit) == simulate_to_matrix(seq) else "FAIL"
-    _summary(
-        method=args.method,
-        n=circuit.data,
-        depth=circuit.depth,
-        size=circuit.size,
-        sequential_depth=seq.depth,
-        equivalent=equivalent,
-    )
-    return 3 if equivalent == "FAIL" else 0
-
-
 # ----------------------------------------------------------------------
 # benchmark
 # ----------------------------------------------------------------------
@@ -189,7 +173,7 @@ def bench_records(sizes, methods, seeds, scales) -> list:
             for method in methods:
                 for s in scales if method == "ancilla" else (0,):
                     t0 = time.perf_counter()
-                    c = _synthesise(method, m, s or 1, seed)
+                    c = _synthesise(method, m, s, seed)
                     ms = (time.perf_counter() - t0) * 1e3
                     if not verify_implements(c, m).ok:
                         raise CnotSynthError(f"{method} failed verification at n={n}")
@@ -197,7 +181,7 @@ def bench_records(sizes, methods, seeds, scales) -> list:
                         BenchRecord(
                             method=method,
                             n=n,
-                            s=s,
+                            s=c.ancillae // (3 * n),  # as built: (3s+1)n ancillae
                             ancillae=c.ancillae,
                             depth=c.depth,
                             size=c.size,
@@ -277,13 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--seed", type=int, default=0)
     rp.add_argument("--out", default=None)
     rp.set_defaults(fn=cmd_random)
-
-    tp = sub.add_parser("tree", help="compile a CNOT tree")
-    tp.add_argument("--in", dest="infile", required=True)
-    tp.add_argument("--method", default="contract", choices=("seq", "contract"))
-    tp.add_argument("--out", default=None)
-    tp.add_argument("--verify-against-sequential", action="store_true")
-    tp.set_defaults(fn=cmd_tree)
 
     np_ = sub.add_parser("bench", help="benchmark synthesisers to CSV")
     np_.add_argument("--sizes", required=True)

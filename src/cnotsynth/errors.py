@@ -25,10 +25,6 @@ class LaybyFailure(CnotSynthError):
     """No layby satisfying the occurrence bound was found."""
 
 
-class LayoutError(CnotSynthError):
-    """Ancilla region arithmetic does not fit the requested layout."""
-
-
 class MalformedTree(CnotSynthError):
     """Input is not a proper binary tree with unique leaf labels."""
 

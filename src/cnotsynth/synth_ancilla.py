@@ -11,8 +11,11 @@ group of s*2k^2 columns is handled by s stacks of the four-Russians
 construction on disjoint wires: each stack builds, for every k-bit column
 slice, the block of all nonzero sums of its control rows (a "P block"),
 copies the popular sums a few times, and adds one copy per slice into
-every target row under a schedule that never reuses a copy within a
-layer.  One scheduler, _paste_layers, serves both copy-and-paste steps:
+every target row.  The pastes of the whole embedding are coloured once
+(_paste_colours): each (slice, value) source's pastes are cut into runs of
+2k, and a greedy gives every paste a colour free at its target and in its
+run, so at most 4k-1 colours are used and no stack makes more than n
+copies.  One scheduler, _paste_layers, serves both copy-and-paste steps:
 the P block's build from the control rows and the stack's pastes from
 the P rows.  Stack 0 adds straight into the target rows and undoes its
 machinery; stacks 1..s-1 add into partial blocks, which a fan-in adds into
@@ -35,11 +38,9 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import Circuit, _fold_layers, _stable_order, levelled_circuit
-from .errors import DimensionMismatch, LayoutError
+from .errors import DimensionMismatch
 from .f2 import F2Matrix, invert
 from .synth_free import _split_by, permutation_layers
-
-_PLAIN_LIMIT = 3  # below this the four-Russians machinery cannot pay rent
 
 
 # ----------------------------------------------------------------------
@@ -53,11 +54,6 @@ def max_scale(n: int) -> int:
     if n < 2:
         return 1
     return max(1, int(n / (math.log2(n) ** 2)))
-
-
-def copy_cap(n: int) -> int:
-    """Each copy row is reused at most 2*ceil(log2 n) times."""
-    return 2 * max(1, math.ceil(math.log2(max(n, 2))))
 
 
 # ----------------------------------------------------------------------
@@ -90,13 +86,9 @@ def _paste_layers(source, colour, tgt, roots, spare) -> tuple:
     the paste of rank r, in the order given, reads copy r of its source,
     copy 0 being the root; so a source gets as many extra copies as its
     largest class, less one, which sit contiguously per source, in source
-    order, at the front of ``spare``.  Returns (build, paste, extra): the
-    copy fan-out layers, one paste array per colour present in colour
-    order, and the extra copies per source.
-
-    Raises:
-        LayoutError: if ``spare`` cannot hold the copies.
-    """
+    order, at the front of ``spare``, which must hold them.  Returns
+    (build, paste, extra): the copy fan-out layers, one paste array per
+    colour present in colour order, and the extra copies per source."""
     ncol = int(colour.max(initial=-1)) + 1
     cls = source * ncol + colour
     order = _stable_order(cls, roots.size * ncol)
@@ -106,10 +98,7 @@ def _paste_layers(source, colour, tgt, roots, spare) -> tuple:
     rank[order] = idx - np.maximum.accumulate(np.where(new_run, idx, 0))
     extra = np.zeros(roots.size, dtype=np.int64)
     np.maximum.at(extra, source, rank)
-    n_copies = int(extra.sum())
-    if n_copies > len(spare):
-        raise LayoutError("no room for the copies")
-    copies = spare[:n_copies]
+    copies = spare[: int(extra.sum())]
     src = roots[source]
     from_copy = rank > 0
     src[from_copy] = copies[(np.cumsum(extra) - extra)[source[from_copy]] + rank[from_copy] - 1]
@@ -133,40 +122,88 @@ def _sparse_layers(vals, kb, ctrl_wires, tgt_wires, scratch_wires) -> tuple:
 
 
 # ----------------------------------------------------------------------
+# column slices and the paste colouring of a whole embedding
+# ----------------------------------------------------------------------
+
+
+def _slice_values(dense, k: int) -> tuple:
+    """The widths of dense's k-column slices (the last one the remainder)
+    and every row's value in every slice, slices x rows, bit b standing
+    for the slice's column b (k <= 16)."""
+    offs = np.arange(0, dense.shape[1], k)
+    widths = np.diff(np.r_[offs, dense.shape[1]])
+    shift = (np.arange(dense.shape[1]) - np.repeat(offs, widths)).astype(np.uint16)
+    bits = dense.T.astype(np.uint16) << shift[:, None]
+    return widths, np.add.reduceat(bits, offs, axis=0, dtype=np.uint16)
+
+
+def _paste_colours(vals, g: int) -> np.ndarray:
+    """Paste colour of every nonzero entry of ``vals`` (slices x targets),
+    -1 elsewhere, for stacks of g consecutive slices.
+
+    A source is a (slice, value) pair; its pastes are cut, in target order,
+    into runs of g.  Round (j, p) colours the pastes of slice j of every
+    stack that sit at position p of their run, each with the least colour
+    free both at its target in its stack and in its run; no two pastes of a
+    round share either, so the round is one gather and one scatter.  A
+    paste sees at most g-1 colours at its target and g-1 in its run, so
+    the colours stay below 2g-1.  A (source, colour) class holds at most
+    one paste per run, so a source of degree d needs at most ceil(d/g)-1
+    copies, and a stack's pastes, at most g per target, need at most one
+    copy per target in all.
+    """
+    nsl, n_t = vals.shape
+    order = np.argsort(vals, axis=1, kind="stable")
+    v = np.take_along_axis(vals, order, axis=1)
+    idx = np.arange(n_t)
+    first = np.maximum.accumulate(np.where(np.diff(v, axis=1, prepend=0) > 0, idx, 0), axis=1)
+    pos = (idx - first) % g
+    # round of each entry in the sorted layout; zero entries go to round g*g,
+    # which is not run
+    key = np.where(v > 0, (np.arange(nsl) % g * g)[:, None] + pos, g * g).ravel()
+    by_round = _stable_order(key, g * g + 1)
+    at = ((np.arange(nsl) // g * n_t)[:, None] + order).ravel()[by_round]
+    run = (np.arange(key.size) - pos.ravel())[by_round]
+    at_mask = np.zeros(-(-nsl // g) * n_t, dtype=np.int64)
+    run_mask = np.zeros(key.size, dtype=np.int64)
+    free = np.zeros(key.size, dtype=np.int64)
+    bounds = np.r_[0, np.cumsum(np.bincount(key, minlength=g * g + 1))]
+    for lo, hi in zip(bounds[: g * g], bounds[1 : g * g + 1]):
+        a, r = at[lo:hi], run[lo:hi]
+        used_a, used_r = at_mask[a], run_mask[r]
+        f = ~(used_a | used_r) & ((used_a | used_r) + 1)
+        at_mask[a] = used_a | f
+        run_mask[r] = used_r | f
+        free[lo:hi] = f
+    sorted_colour = np.empty(key.size, dtype=np.int64)
+    sorted_colour[by_round] = np.frexp(free)[1] - 1  # -1 where free is 0
+    colour = np.empty(vals.shape, dtype=np.int64)
+    np.put_along_axis(colour, order, sorted_colour.reshape(nsl, n_t), axis=1)
+    return colour
+
+
+# ----------------------------------------------------------------------
 # one column-group stack (the log^2-column four-Russians step)
 # ----------------------------------------------------------------------
 
 
-def _slice_widths(total: int, k: int) -> list:
-    widths = [k] * (total // k)
-    if total % k:
-        widths.append(total % k)
-    return widths
-
-
-def _stack_layers(y_dense, widths, ctrl_wires, tgt_wires, mach, c_cap, rng, with_undo=True):
-    """Layers writing y (rows = targets, columns = sum(widths) controls,
-    cut into consecutive slices of the given widths) into the target rows;
-    machinery is restored when ``with_undo`` (a caller reversing the whole
-    stack skips it).
+def _stack_layers(vals, colour, widths, ctrl_wires, tgt_wires, mach, with_undo=True):
+    """Layers writing a stack's slices (``vals`` and their paste colours,
+    slices x targets, slice g reading the next widths[g] control wires)
+    into the target rows; machinery is restored when ``with_undo`` (a
+    caller reversing the whole stack skips it).
 
     Machinery holds, per slice, its P rows and their build scratch, then
-    the copy rows of _paste_layers, contiguous per (slice, value).
-    Schedule: target i takes colour (g + salt[i]) mod c_cap in slice g, so
-    its colours are distinct across slices.
+    the copy rows of _paste_layers, contiguous per (slice, value).  _pick_k
+    keeps the first part within n wires and _paste_colours the second, so
+    2n machinery wires always suffice.
     """
-    n_t = y_dense.shape[0]
-    ngroups = len(widths)
-    if ngroups > c_cap:
-        raise LayoutError("more column slices than schedule colours")
     ctrl = np.asarray(ctrl_wires, dtype=np.int64)
     tgt = np.asarray(tgt_wires, dtype=np.int64)
     mach = np.asarray(mach, dtype=np.int64)
     widths = np.asarray(widths, dtype=np.int64)
     offs = np.cumsum(widths) - widths
     nv = 1 << int(widths.max())
-    shift = np.arange(y_dense.shape[1]) - np.repeat(offs, widths)
-    vals = np.add.reduceat(y_dense.astype(np.int64) << shift, offs, axis=1)
 
     # step 1: P blocks of all nonzero kb-bit sums, one template layer for
     # all slices of a width at a time
@@ -174,8 +211,6 @@ def _stack_layers(y_dense, widths, ctrl_wires, tgt_wires, mach, c_cap, rng, with
     block_len = np.asarray([nz + s_len for _, nz, s_len in tmpls], dtype=np.int64)
     p_off = np.cumsum(block_len) - block_len
     used = int(block_len.sum())
-    if used > mach.size:
-        raise LayoutError("machinery region exhausted")
     step1: list = []
     for kb in dict.fromkeys(widths.tolist()):
         gs = np.flatnonzero(widths == kb)
@@ -187,16 +222,14 @@ def _stack_layers(y_dense, widths, ctrl_wires, tgt_wires, mach, c_cap, rng, with
         )
         step1.extend(wire_map[:, arr].reshape(-1, 2) for arr in tmpl)
 
-    salt = rng.integers(0, c_cap, size=n_t)
-
     # steps 2 and 3: every (slice, value) in use is a source read from its
-    # P row, and target i pastes it in colour (g + salt[i]) mod c_cap
-    gg, rows = np.nonzero(vals.T)
-    cell = gg * nv + vals[rows, gg]
-    present = np.bincount(cell, minlength=ngroups * nv) > 0
+    # P row, pasted into each of its targets in that paste's colour
+    gg, rows = np.nonzero(vals)
+    cell = gg * nv + vals[gg, rows]
+    present = np.bincount(cell, minlength=len(widths) * nv) > 0
     cells = np.flatnonzero(present)
     step2, step3, _ = _paste_layers(
-        (np.cumsum(present) - 1)[cell], (gg + salt[rows]) % c_cap, tgt[rows],
+        (np.cumsum(present) - 1)[cell], colour[gg, rows], tgt[rows],
         mach[p_off[cells // nv] + cells % nv - 1], mach[used:],
     )
 
@@ -205,11 +238,14 @@ def _stack_layers(y_dense, widths, ctrl_wires, tgt_wires, mach, c_cap, rng, with
     return step1 + step2 + step3 + list(reversed(step1 + step2))
 
 
-def _pick_k(n: int, mach_len: int) -> int:
+def _pick_k(n: int) -> int:
+    """Slice width: floor(log2(n) / 2), lowered until a stack's 2k slices of
+    P rows and build scratch fit in n wires (at k = 1 they always do: a
+    stack of one or two 1-bit slices)."""
     k = max(1, (max(n, 2).bit_length() - 1) // 2)
     while k > 1:
         _, nz, s_len = _p_template(k)
-        if 2 * k * (nz + s_len) <= mach_len // 2:
+        if 2 * k * (nz + s_len) <= n:
             break
         k -= 1
     return k
@@ -242,62 +278,48 @@ def _fanin_layers(partial_bases: list, tgt_base: int, n_t: int) -> list:
     return _fold_layers([base + rows for base in partial_bases], tgt_base + rows)
 
 
-def _group_layers(dense_group, n, ctrl_wires, tgt_base, k, rng):
-    """One group of <= s*2k^2 columns, s stacks on disjoint wires: stack 0
-    takes its whole region as machinery, pastes straight into the target
-    rows and undoes its machinery; stacks 1..s-1 paste into partial blocks,
-    the first n wires of their regions, fanned in before their builds
-    reverse."""
-    w1 = 2 * k * k
+def _group_layers(vals, colour, widths, k, ctrl_base, tgt_base):
+    """One group of at most s stacks of 2k slices (``vals`` and their paste
+    colours, slices x n targets, read from the control wires from
+    ``ctrl_base``) on disjoint wires: stack 0 takes its whole region as
+    machinery, pastes straight into the target rows and undoes its
+    machinery; stacks 1..s-1 paste into partial blocks, the first n wires
+    of their regions, fanned in before their builds reverse."""
+    n = vals.shape[1]
     direct, build, partials = [], [], []
-    for i, width in enumerate(_slice_widths(dense_group.shape[1], w1)):
-        c0 = i * w1
+    for i, g0 in enumerate(range(0, len(widths), 2 * k)):
+        g1 = g0 + 2 * k
         region = 2 * n + 3 * n * i
         if i == 0:
             tgts, mach = np.arange(tgt_base, tgt_base + n), np.arange(region, region + 3 * n)
         else:
             tgts, mach = np.arange(region, region + n), np.arange(region + n, region + 3 * n)
             partials.append(region)
+        c0 = ctrl_base + k * g0
         sub = _stack_layers(
-            dense_group[:, c0 : c0 + width], _slice_widths(width, k),
-            ctrl_wires[c0 : c0 + width], tgts, mach, copy_cap(n), rng, with_undo=i == 0,
+            vals[g0:g1], colour[g0:g1], widths[g0:g1],
+            np.arange(c0, c0 + int(widths[g0:g1].sum())), tgts, mach, with_undo=i == 0,
         )
         (build if i else direct).extend(sub)
     return direct + build + _fanin_layers(partials, tgt_base, n) + list(reversed(build))
 
 
-def _plain_layers(m_dense, ctrl_base, tgt_base) -> list:
-    """One gate per set bit, column by column, each gate its own array."""
-    cols, rows = np.nonzero(m_dense.T)
-    return list(np.stack([ctrl_base + cols, tgt_base + rows], axis=1)[:, None])
-
-
-def _embed_layers(m_dense, s: int, ctrl_base: int, tgt_base: int, seed: int) -> list:
+def _embed_layers(m_dense, s: int, ctrl_base: int, tgt_base: int) -> list:
     """Layers adding the n x n matrix M (columns read from ctrl wires) into
-    the target rows, work region restored; column groups of s*2k^2 run
-    sequentially."""
-    n = m_dense.shape[0]
-    if n <= _PLAIN_LIMIT:
-        return _plain_layers(m_dense, ctrl_base, tgt_base)
-    k0 = _pick_k(n, 2 * n)
-    for k in range(k0, 0, -1):
-        rng = np.random.default_rng(seed)
-        t_w = s * 2 * k * k
-        try:
-            layers = []
-            for g0 in range(0, n, t_w):
-                width = min(t_w, n - g0)
-                layers.extend(
-                    _group_layers(
-                        m_dense[:, g0 : g0 + width], n,
-                        list(range(ctrl_base + g0, ctrl_base + g0 + width)),
-                        tgt_base, k, rng,
-                    )
-                )
-            return layers
-        except LayoutError:
-            continue
-    return _plain_layers(m_dense, ctrl_base, tgt_base)
+    the target rows, work region restored; the pastes of every stack are
+    coloured together, and column groups of s*2k^2 run sequentially."""
+    k = _pick_k(m_dense.shape[0])
+    widths, vals = _slice_values(m_dense, k)
+    colour = _paste_colours(vals, 2 * k)
+    per_group = s * 2 * k  # slices
+    layers = []
+    for g0 in range(0, len(widths), per_group):
+        g1 = g0 + per_group
+        layers.extend(
+            _group_layers(vals[g0:g1], colour[g0:g1], widths[g0:g1], k,
+                          ctrl_base + k * g0, tgt_base)
+        )
+    return layers
 
 
 def synth_with_ancillae(m: F2Matrix, s: int, seed: int = 0) -> Circuit:
@@ -306,7 +328,8 @@ def synth_with_ancillae(m: F2Matrix, s: int, seed: int = 0) -> Circuit:
     Composition: embed M into the mirror block, embed M^-1 back onto the
     data block (mirror wires as controls), then swap the two n-wire blocks
     with one transposition layer triple; the whole sequence is levelled
-    once.
+    once.  The construction is deterministic: ``seed`` is accepted for
+    callers that pass one to every method, and has no effect.
     """
     if m.rows != m.cols:
         raise DimensionMismatch("square matrix required")
@@ -319,8 +342,8 @@ def synth_with_ancillae(m: F2Matrix, s: int, seed: int = 0) -> Circuit:
         s = cap
     wires = (3 * s + 2) * n
     minv = invert(m)
-    layers = _embed_layers(m.to_dense(), s, 0, n, seed)
-    layers += _embed_layers(minv.to_dense(), s, n, 0, seed + 1)
+    layers = _embed_layers(m.to_dense(), s, 0, n)
+    layers += _embed_layers(minv.to_dense(), s, n, 0)
     swap = np.arange(wires)
     swap[:n] = np.arange(n, 2 * n)
     swap[n : 2 * n] = np.arange(n)

@@ -9,6 +9,7 @@ import pytest
 
 from cnotsynth import (
     F2Matrix,
+    contract_tree,
     format_matrix,
     gl_count,
     layer_count,
@@ -16,7 +17,7 @@ from cnotsynth import (
     random_gl,
     verify_implements,
 )
-from cnotsynth.cli import BenchRecord, bench_records, emit_csv, main
+from cnotsynth.cli import _TREE_METHODS, BenchRecord, bench_records, emit_csv, main
 
 
 @pytest.fixture
@@ -62,8 +63,9 @@ class TestSynth:
 
     def test_ancilla_count_reported(self, workdir, capsys):
         # scale 2 clamps to max_scale(32) = 1, so (3*1+1)*32 ancillae
-        rc = run(["synth", "--method", "ancilla", "--ancilla-scale", 2,
-                  "--in", workdir / "m32.mat", "--verify"])
+        with pytest.warns(UserWarning, match="ancilla scale 2 clamped to 1"):
+            rc = run(["synth", "--method", "ancilla", "--ancilla-scale", 2,
+                      "--in", workdir / "m32.mat", "--verify"])
         assert rc == 0
         assert "ancillae=128" in capsys.readouterr().out
 
@@ -91,6 +93,19 @@ class TestSynth:
                   "--out", workdir / "t.cnotc"])
         assert rc == 0
         assert "depth=" in capsys.readouterr().out
+
+    def test_tree_mismatch_exit_3(self, workdir, capsys, monkeypatch):
+        # a contraction that drops its last layer no longer matches the
+        # sequential circuit
+        def short(tree):
+            c = contract_tree(tree)
+            c.layers = c.layers[:-1]
+            return c
+
+        monkeypatch.setitem(_TREE_METHODS, "tree-contract", short)
+        rc = run(["synth", "--in", workdir / "t.sexp", "--method", "tree-contract", "--verify"])
+        assert rc == 3
+        assert "verified=FAIL" in capsys.readouterr().out
 
 
 class TestVerify:
@@ -146,14 +161,15 @@ class TestBoundsOracleRandomTree:
     @pytest.mark.parametrize("text", ["(L 0 1", "("])
     def test_truncated_tree_exit_1(self, workdir, capsys, text):
         (workdir / "cut.sexp").write_text(text)
-        assert run(["tree", "--in", workdir / "cut.sexp"]) == 1
+        assert run(["synth", "--in", workdir / "cut.sexp", "--method", "tree-contract"]) == 1
         assert "error: unexpected end of tree expression" in capsys.readouterr().err
 
     def test_tree_contract_verified(self, workdir, capsys):
-        rc = run(["tree", "--in", workdir / "t.sexp", "--method", "contract",
-                  "--out", workdir / "tc.cnotc", "--verify-against-sequential"])
+        rc = run(["synth", "--in", workdir / "t.sexp", "--method", "tree-contract",
+                  "--out", workdir / "tc.cnotc", "--verify"])
         assert rc == 0
-        assert "equivalent=ok" in capsys.readouterr().out
+        assert "verified=ok" in capsys.readouterr().out
+        assert run(["tree", "--in", workdir / "t.sexp"]) == 1  # the subcommand is gone
 
 
 class TestBench:
@@ -184,3 +200,15 @@ class TestBench:
 
     def test_bad_flags_exit_1(self):
         assert run(["bench", "--sizes", "16", "--methods", "warp"]) == 1
+
+    def test_ancilla_scale_recorded_as_built(self, workdir, capsys):
+        # max_scale(64) = 1: scale 2 is clamped and recorded as 1, and
+        # scale 0 is rejected instead of running as 1
+        with pytest.warns(UserWarning, match="ancilla scale 2 clamped to 1"):
+            rc = run(["bench", "--sizes", 64, "--methods", "ancilla", "--scale", "1,2",
+                      "--csv", workdir / "out.csv"])
+        assert rc == 0
+        rows = parse_csv((workdir / "out.csv").read_text())
+        assert [(r.s, r.ancillae) for r in rows] == [(1, 4 * 64)] * 2
+        assert run(["bench", "--sizes", 64, "--methods", "ancilla", "--scale", "0,2"]) == 1
+        assert "error: need n >= 1 and s >= 1" in capsys.readouterr().err

@@ -45,11 +45,14 @@ METHODS = {
 # taking the layby only past four times the cap (twice before): the digest
 # is that of the previous source with only that threshold changed, so
 # colouring every class of a stage in one call left the bytes as they were.
+# Both ancilla digests were re-pinned when the random-salt paste colours
+# gave way to the deterministic runs-of-2k greedy (_paste_colours): other
+# gates and layers, the same matrices.
 CORPUS_SHA256 = {
     "simple": "cf99b441326976c8172dc5aa5d622e7f938d8928d7cf53aeefab3ff309decf1f",
     "dnc": "b3db0b6c445acd92a7c01f1e586a462422334e84bcaccca6aecfedb974aefdb0",
-    "ancilla_s1": "613d5e1abb45c31deb23c02d6ed86abee0cb7885852c5d9fe6ecd67873c1df5a",
-    "ancilla_s2": "1dd39f4b5a4b82c9f70e3f206674ff921b9f07c48be46d324cec83cfe3a99a5c",
+    "ancilla_s1": "92205a771ecea3706025cde29642b5161b6be1c7cb51aac7b2980c1cefd0b7eb",
+    "ancilla_s2": "44a207c77ad6a976545033ccedb507563c440abf5abadbb0b1d3fe263006fd51",
 }
 
 
@@ -92,12 +95,13 @@ STRUCTURED = {
 # One digest per method, seed 0, on the structured families at sizes around
 # the dnc base case and its first splits.  Each covers the matrix text and
 # that method's circuit text, as CORPUS_SHA256 does.  dnc was re-pinned
-# with the layby threshold, the same way as there.
+# with the layby threshold, and both ancilla digests with the runs-of-2k
+# paste colours, the same way as there.
 STRUCTURED_SHA256 = {
     "simple": "df7a6ffd66b20a9c9d727366ee3ec8d00f702148d3def802fae891e47e9a8481",
     "dnc": "26932af9c1fed0f35d4819f46722460a77c1ae62bdb5079f82a1e71125c41c0d",
-    "ancilla_s1": "1d330f550f924c09726d2b525e2797c7c96299bc728059ec06a2d4ce0c9cedb6",
-    "ancilla_s2": "bc044c3e13de4744d99ddb4417ea242445472f166d9c57866550d0449d85989d",
+    "ancilla_s1": "bae89c0215b251f20e3a0db8fac4e191fa284e5c5260bce8e853e652a04f9498",
+    "ancilla_s2": "d4b5dd44c5346947657e22a12533313ad72b87793e0acd33c6c5c96cec98b787",
 }
 
 

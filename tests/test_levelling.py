@@ -31,7 +31,13 @@ from cnotsynth import (
     verify_implements,
 )
 from cnotsynth.circuit import _xor_rows, level_asap, levelled_circuit, trusted_layer
-from cnotsynth.synth_ancilla import _embed_layers, _pick_k, _slice_widths, _stack_layers, copy_cap
+from cnotsynth.synth_ancilla import (
+    _embed_layers,
+    _paste_colours,
+    _pick_k,
+    _slice_values,
+    _stack_layers,
+)
 from cnotsynth.synth_free import (
     _dnc_upper_layers,
     _elim_upper_layers,
@@ -263,12 +269,15 @@ def structured_gl(kind, n):
 
 
 def ycol_circuit(m, n):
-    """One ancilla column stack (_stack_layers) writing m's first columns
-    into rows n..2n-1, with rows 2n..4n-1 as machinery."""
-    w = min(n, 18)
+    """One ancilla column stack (_stack_layers) writing m's first columns,
+    at most the 2k^2 of a stack, into rows n..2n-1, with rows 2n..4n-1 as
+    machinery."""
+    k = _pick_k(n)
+    w = min(n, 18, 2 * k * k)
+    widths, vals = _slice_values(m.to_dense()[:, :w], k)
     layers = _stack_layers(
-        m.to_dense()[:, :w], _slice_widths(w, _pick_k(n, 2 * n)), list(range(w)),
-        list(range(n, 2 * n)), list(range(2 * n, 4 * n)), copy_cap(n), np.random.default_rng(2),
+        vals, _paste_colours(vals, 2 * k), widths, list(range(w)),
+        list(range(n, 2 * n)), list(range(2 * n, 4 * n)),
     )
     return circuit_of(layers, 4 * n)
 
@@ -278,7 +287,7 @@ MATRIX_METHODS = {
     "dnc": lambda m, n: synth_dnc(m, seed=1),
     "ancilla_s1": lambda m, n: synth_with_ancillae(m, 1, seed=1),
     "ancilla_s2": lambda m, n: synth_with_ancillae(m, 2, seed=1),
-    "embed_m": lambda m, n: circuit_of(_embed_layers(m.to_dense(), 1, 0, n, 1), 5 * n),
+    "embed_m": lambda m, n: circuit_of(_embed_layers(m.to_dense(), 1, 0, n), 5 * n),
     "gen_ycol": ycol_circuit,
 }
 

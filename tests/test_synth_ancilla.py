@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from cnotsynth import (
     DimensionMismatch,
     F2Matrix,
     apply_to_bits,
+    format_circuit,
     max_scale,
     random_gl,
     simulate_to_matrix,
@@ -18,18 +21,19 @@ from cnotsynth.synth_ancilla import (
     _embed_layers,
     _group_layers,
     _p_template,
+    _paste_colours,
     _pick_k,
-    _slice_widths,
+    _slice_values,
     _sparse_layers,
     _stack_layers,
-    copy_cap,
 )
 
 # The fragment tests below run the private builders that synth_with_ancillae
 # runs, levelled on their own: an embedding (_embed_layers) on n data wires,
 # an n-wire mirror block and 3sn work wires; one column group of s stacks
 # (_group_layers) writing into the mirror rows; one stack (_stack_layers);
-# and the sparse block (_sparse_layers).
+# and the sparse block (_sparse_layers).  A group or a stack has its pastes
+# coloured by _paste_colours, as the embedding colours all of its own.
 
 
 def levelled(layers, wires):
@@ -49,27 +53,28 @@ def sparse_circuit(y, ctrl, tgt, scratch):
     return levelled(layers, 1 + max(*ctrl, *tgt, *scratch))
 
 
-def stack_circuit(y, ctrl, tgt, mach, n, seed=0):
-    """One stack writing y into the target rows, its slices as wide as
-    _pick_k allows for this machinery, as a column group runs it."""
-    widths = _slice_widths(y.cols, _pick_k(n, len(mach)))
-    rng = np.random.default_rng(seed)
-    layers = _stack_layers(y.to_dense(), widths, ctrl, tgt, mach, copy_cap(n), rng)
+def stack_circuit(y, ctrl, tgt, mach, n):
+    """One stack writing y (at most 2k^2 columns) into the target rows, its
+    slices as wide as _pick_k allows, as a column group runs it."""
+    k = _pick_k(n)
+    widths, vals = _slice_values(y.to_dense(), k)
+    layers = _stack_layers(vals, _paste_colours(vals, 2 * k), widths, ctrl, tgt, mach)
     return levelled(layers, 1 + max(*ctrl, *tgt, *mach))
 
 
-def group_circuit(y, s, seed=0):
+def group_circuit(y, s):
     """One column group of y's columns, read from the first data wires and
     written into the mirror rows, on (3s+2)n wires."""
     n = y.rows
-    rng = np.random.default_rng(seed)
-    layers = _group_layers(y.to_dense(), n, list(range(y.cols)), n, _pick_k(n, 2 * n), rng)
+    k = _pick_k(n)
+    widths, vals = _slice_values(y.to_dense(), k)
+    layers = _group_layers(vals, _paste_colours(vals, 2 * k), widths, k, 0, n)
     return levelled(layers, (3 * s + 2) * n)
 
 
-def embed_circuit(m, s, seed=0):
+def embed_circuit(m, s):
     """|x, j, 0> -> |x, j xor Mx, 0> on (3s+2)n wires."""
-    return levelled(_embed_layers(m.to_dense(), s, 0, m.rows, seed), (3 * s + 2) * m.rows)
+    return levelled(_embed_layers(m.to_dense(), s, 0, m.rows), (3 * s + 2) * m.rows)
 
 
 class TestLayout:
@@ -118,9 +123,9 @@ class TestDoublingRounds:
 
 @pytest.fixture
 def stack_schedules(monkeypatch):
-    """(demand, extra copies) per source of every stack schedule that
-    _paste_layers returns; the P templates are built first, so their
-    schedules are not recorded."""
+    """(demand and extra copies per source, spare wires offered) of every
+    stack schedule that _paste_layers returns; the P templates are built
+    first, so their schedules are not recorded."""
     for kb in range(1, 8):
         _p_template(kb)
     paste_layers = synth_ancilla._paste_layers
@@ -128,7 +133,7 @@ def stack_schedules(monkeypatch):
 
     def record(source, colour, tgt, roots, spare):
         out = paste_layers(source, colour, tgt, roots, spare)
-        got.append((np.bincount(source, minlength=roots.size), out[2]))
+        got.append((np.bincount(source, minlength=roots.size), out[2], len(spare)))
         return out
 
     monkeypatch.setattr(synth_ancilla, "_paste_layers", record)
@@ -223,6 +228,41 @@ class TestGenSparse:
             assert row[w] == 1 and row.sum() == 1
 
 
+def _reference_paste_colours(vals, g):
+    """The paste colouring as a loop: per slice, each value's targets in
+    order are cut into runs of g; pastes are taken by (slice within stack,
+    position within run), each given the least colour unused at its
+    target in its stack and in its run."""
+    pastes = []
+    for sl in range(vals.shape[0]):
+        seen = {}
+        for t in range(vals.shape[1]):
+            v = int(vals[sl, t])
+            if v:
+                q = seen[v] = seen.get(v, -1) + 1
+                pastes.append(((sl % g, q % g), sl, t, (sl, v, q // g)))
+    at_used, run_used = {}, {}
+    colour = np.full(vals.shape, -1)
+    for _, sl, t, run in sorted(pastes, key=lambda e: e[0]):
+        taken = at_used.setdefault((sl // g, t), set()) | run_used.setdefault(run, set())
+        c = min(set(range(len(taken) + 1)) - taken)
+        at_used[sl // g, t].add(c)
+        run_used[run].add(c)
+        colour[sl, t] = c
+    return colour
+
+
+class TestPasteColours:
+    @pytest.mark.parametrize("g", [2, 4, 6])
+    def test_matches_loop(self, g):
+        # values with zeros and repeats, a source longer than a run, and a
+        # last stack with fewer than g slices
+        rng = np.random.default_rng(g)
+        for nsl, n_t, nv in ((1, 1, 2), (g, 3 * g + 1, 3), (2 * g + 1, 40, 1 << (g // 2))):
+            vals = rng.integers(0, nv, (nsl, n_t)).astype(np.uint16)
+            assert np.array_equal(_paste_colours(vals, g), _reference_paste_colours(vals, g))
+
+
 class TestGenYcol:
     """One column stack: _stack_layers."""
 
@@ -242,7 +282,7 @@ class TestGenYcol:
         ctrl = list(range(w))
         tgt = list(range(n, 2 * n))
         mach = list(range(2 * n, 4 * n))
-        c = stack_circuit(y, ctrl, tgt, mach, n, seed=1)
+        c = stack_circuit(y, ctrl, tgt, mach, n)
         sim = simulate_to_matrix(c)
         assert np.array_equal(block(sim, tgt, ctrl), y.to_dense())
         d = sim.to_dense()
@@ -253,7 +293,7 @@ class TestGenYcol:
             assert d[cw, cw] == 1 and d[cw].sum() == 1
         # at most n copy rows per stack
         assert stack_schedules
-        assert all(extra.sum() <= n for _, extra in stack_schedules)
+        assert all(extra.sum() <= n for _, extra, _ in stack_schedules)
 
     def test_identity_rows_embedded(self):
         n = 128
@@ -264,16 +304,39 @@ class TestGenYcol:
         sim = simulate_to_matrix(c)
         assert np.array_equal(block(sim, range(n, 2 * n), range(w)), y.to_dense())
 
-    def test_schedule_cap_respected(self, stack_schedules):
-        # no more paste layers than 2*ceil(log2 n), per the copy reuse cap:
-        # each (slice, value) has at least ceil(demand / cap) copies
-        n = 256
-        rng = np.random.default_rng(0)
-        y = F2Matrix.from_dense(rng.integers(0, 2, (n, 32)))
-        stack_circuit(y, list(range(32)), list(range(n, 2 * n)), list(range(2 * n, 4 * n)), n, seed=3)
-        assert stack_schedules
-        for demand, extra in stack_schedules:
-            assert np.all(extra + 1 >= -(-demand // copy_cap(n)))
+    @pytest.mark.parametrize("n", [*range(1, 9), 65, 300])
+    def test_layout_bounds(self, n, stack_schedules):
+        # the fit _paste_colours proves, G = 2k: at most 2G-1 paste colours,
+        # each distinct at its target within a stack; a source of degree d
+        # takes at most ceil(d/G)-1 copies, so a stack makes at most n,
+        # within the spare machinery, at every s
+        k = _pick_k(n)
+        g = 2 * k
+        rng = np.random.default_rng(n)
+        row = rng.integers(0, 2, n)
+        row[::k] = 1  # a nonzero value in every slice
+        inputs = {
+            "ones": np.ones((n, n)),
+            "shared": np.tile(row, (n, 1)),
+            "identity": np.eye(n),
+            "random": rng.integers(0, 2, (n, n)),
+        }
+        for name, dense in inputs.items():
+            dense = dense.astype(np.uint8)
+            _, vals = _slice_values(dense, k)
+            colour = _paste_colours(vals, g)
+            assert np.array_equal(colour >= 0, vals > 0), name
+            assert colour.max() <= 2 * g - 2, name
+            for g0 in range(0, vals.shape[0], g):
+                col = np.sort(colour[g0 : g0 + g], axis=0)
+                assert not ((col[1:] == col[:-1]) & (col[1:] >= 0)).any(), name
+            for s in range(1, max_scale(n) + 1):
+                stack_schedules.clear()
+                _embed_layers(dense, s, 0, n)
+                assert len(stack_schedules) == -(-vals.shape[0] // g), (name, s)
+                for demand, extra, spare in stack_schedules:
+                    assert np.all(extra <= -(-demand // g) - 1), (name, s)
+                    assert extra.sum() <= min(n, spare), (name, s)
 
 
 class TestGenScols:
@@ -295,12 +358,12 @@ class TestGenScols:
         # restored; the mirror rows gain y on the data columns, and only the
         # work columns, zero under the ancilla contract, may pollute them.
         n = 256
-        k = _pick_k(n, 2 * n)
+        k = _pick_k(n)
         for short in (0, 7):
             width = s * 2 * k * k - short
             rng = np.random.default_rng(10 * s + short)
             y = F2Matrix.from_dense(rng.integers(0, 2, (n, width)))
-            c = group_circuit(y, s, seed=s)
+            c = group_circuit(y, s)
             want = np.eye(c.wires, dtype=np.uint8)
             want[n : 2 * n, :width] ^= y.to_dense()
             d = simulate_to_matrix(c).to_dense()
@@ -337,7 +400,7 @@ class TestEmbed:
         m = random_gl(256, 9)
         depths = []
         for s in (1, 2):
-            depths.append(embed_circuit(m, s, seed=1).depth)
+            depths.append(embed_circuit(m, s).depth)
         assert depths[1] <= depths[0]
 
 
@@ -350,7 +413,9 @@ class TestSynthWithAncillae:
     def test_tiny_and_small_sizes(self, n):
         for s in (1, 2):
             m = random_gl(n, n + s)
-            c = synth_with_ancillae(m, s)
+            clamp = s > max_scale(n)
+            with pytest.warns(UserWarning, match="clamped") if clamp else contextlib.nullcontext():
+                c = synth_with_ancillae(m, s)
             rep = verify_implements(c, m)
             assert rep.ok, (n, s)
             s_eff = min(s, max_scale(n))
@@ -368,10 +433,23 @@ class TestSynthWithAncillae:
                 assert c.depth <= prev
             prev = c.depth
 
+    def test_every_small_size(self):
+        # n <= 3 takes the general path too
+        for n in range(1, 40):
+            for s in range(1, max_scale(n) + 1):
+                m = random_gl(n, n)
+                assert verify_implements(synth_with_ancillae(m, s), m).ok, (n, s)
+
+    def test_seed_has_no_effect(self):
+        m = random_gl(256, 5)
+        texts = {format_circuit(synth_with_ancillae(m, 2, seed=seed)) for seed in (0, 1, 99)}
+        assert len(texts) == 1
+
     def test_ancilla_restoration_vector_sim(self):
         n = 64
         m = random_gl(n, 2)
-        c = synth_with_ancillae(m, 2)
+        with pytest.warns(UserWarning, match="ancilla scale 2 clamped to 1"):
+            c = synth_with_ancillae(m, 2)
         md = m.to_dense().astype(int)
         rng = np.random.default_rng(5)
         for _ in range(100):
