@@ -485,4 +485,7 @@ def parse_circuit(text: str) -> Circuit:
     layers = []
     for group in _chunks(lines[1:], len, _CHUNK_BYTES):
         layers.extend(_parse_layers(group, wires, len(layers)))
-    return Circuit(wires, data, layers)
+    # _parse_layers checked every gate's range, and every line holds one
+    c = Circuit(wires, data)
+    c.layers = tuple(layers)
+    return c

@@ -9,18 +9,18 @@ embeddings and a block swap:
 One embedding writes M's columns into its target rows group by group.  A
 group of s*2k^2 columns is handled by s stacks of the four-Russians
 construction on disjoint wires: each stack builds, for every k-bit column
-slice, the block of all nonzero sums of its control rows (a "P block"),
-copies the popular sums a few times, and adds one copy per slice into
-every target row.  The pastes of the whole embedding are coloured once
-(_paste_colours): each (slice, value) source's pastes are cut into runs of
-2k, and a greedy gives every paste a colour free at its target and in its
-run, so at most 4k-1 colours are used and no stack makes more than n
-copies.  One scheduler, _paste_layers, serves both copy-and-paste steps:
-the P block's build from the control rows and the stack's pastes from
-the P rows.  Stack 0 adds straight into the target rows and undoes its
-machinery; stacks 1..s-1 add into partial blocks, which a fan-in adds into
-the target rows before their builds are reversed.  Pollution survives only
-in columns the ancilla contract leaves unconstrained.
+slice, the block of all nonzero sums of its control rows (a "P block",
+built by one doubling subset-sum tree, _p_template), copies the popular
+sums a few times, and adds one copy per slice into every target row.  The
+pastes of the whole embedding are coloured once (_paste_colours): each
+(slice, value) source's pastes are cut into runs of 2k, and a greedy gives
+every paste a colour free at its target and in its run, so at most 4k-1
+colours are used and no stack makes more than n copies; _paste_layers
+turns the colours into a stack's copy and paste layers.  Stack 0 adds
+straight into the target rows and undoes its machinery; stacks 1..s-1 add
+into partial blocks, which a fan-in adds into the target rows before their
+builds are reversed.  Pollution survives only in columns the ancilla
+contract leaves unconstrained.
 
 Every fragment is emitted as one gate sequence, stack after stack and
 group after group, and levelled once as soon as possible
@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import Circuit, _fold_layers, _stable_order, levelled_circuit
+from .circuit import Circuit, _fold_layers, _stable_order, level_asap, levelled_circuit
 from .errors import DimensionMismatch
 from .f2 import F2Matrix, invert
 from .synth_free import _split_by, permutation_layers
@@ -57,7 +57,7 @@ def max_scale(n: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# sparse block construction (doubling copies of control rows)
+# copy fan-out and the paste scheduler
 # ----------------------------------------------------------------------
 
 
@@ -81,8 +81,9 @@ def _doubling_rounds(roots: np.ndarray, counts: np.ndarray, dests: np.ndarray) -
 
 
 def _paste_layers(source, colour, tgt, roots, spare) -> tuple:
-    """Copy-and-paste schedule: paste i adds wire roots[source[i]] into
-    wire tgt[i] in the layer of colour[i].  Within a (source, colour) class
+    """Copy-and-paste schedule of one stack: paste i adds wire
+    roots[source[i]], the P row of its (slice, value) source, into wire
+    tgt[i] in the layer of colour[i].  Within a (source, colour) class
     the paste of rank r, in the order given, reads copy r of its source,
     copy 0 being the root; so a source gets as many extra copies as its
     largest class, less one, which sit contiguously per source, in source
@@ -104,21 +105,6 @@ def _paste_layers(source, colour, tgt, roots, spare) -> tuple:
     src[from_copy] = copies[(np.cumsum(extra) - extra)[source[from_copy]] + rank[from_copy] - 1]
     paste = _split_by(colour, np.stack([src, tgt], axis=1), ncol)
     return _doubling_rounds(roots, extra, copies), paste, extra
-
-
-def _sparse_layers(vals, kb, ctrl_wires, tgt_wires, scratch_wires) -> tuple:
-    """Layers adding, to each target wire, the subset-sum of the control
-    wires given by its value's bit mask, and the number of scratch wires
-    used.  Target t takes its set bits in weight order, one per paste
-    layer; scratch holds the copies of the control rows and is built and
-    restored around the pastes."""
-    bits = (np.asarray(vals, dtype=np.int64)[:, None] >> np.arange(kb)) & 1
-    ti, b = np.nonzero(bits)
-    build, paste, extra = _paste_layers(
-        b, (np.cumsum(bits, axis=1) - 1)[ti, b], np.asarray(tgt_wires, dtype=np.int64)[ti],
-        np.asarray(ctrl_wires, dtype=np.int64)[:kb], np.asarray(scratch_wires, dtype=np.int64),
-    )
-    return build + paste + build[::-1], int(extra.sum())
 
 
 # ----------------------------------------------------------------------
@@ -193,10 +179,10 @@ def _stack_layers(vals, colour, widths, ctrl_wires, tgt_wires, mach, with_undo=T
     into the target rows; machinery is restored when ``with_undo`` (a
     caller reversing the whole stack skips it).
 
-    Machinery holds, per slice, its P rows and their build scratch, then
-    the copy rows of _paste_layers, contiguous per (slice, value).  _pick_k
-    keeps the first part within n wires and _paste_colours the second, so
-    2n machinery wires always suffice.
+    Machinery holds, per slice, its 2^kb - 1 P rows, then the copy rows of
+    _paste_layers, contiguous per (slice, value).  _pick_k keeps the P rows
+    within n wires and _paste_colours the copies, so 2n machinery wires
+    always suffice.
     """
     ctrl = np.asarray(ctrl_wires, dtype=np.int64)
     tgt = np.asarray(tgt_wires, dtype=np.int64)
@@ -207,20 +193,18 @@ def _stack_layers(vals, colour, widths, ctrl_wires, tgt_wires, mach, with_undo=T
 
     # step 1: P blocks of all nonzero kb-bit sums, one template layer for
     # all slices of a width at a time
-    tmpls = [_p_template(kb) for kb in widths.tolist()]
-    block_len = np.asarray([nz + s_len for _, nz, s_len in tmpls], dtype=np.int64)
+    block_len = (1 << widths) - 1
     p_off = np.cumsum(block_len) - block_len
     used = int(block_len.sum())
     step1: list = []
     for kb in dict.fromkeys(widths.tolist()):
         gs = np.flatnonzero(widths == kb)
-        tmpl = tmpls[gs[0]][0]
         wire_map = np.concatenate(
             [ctrl[offs[gs, None] + np.arange(kb)],
-             mach[p_off[gs, None] + np.arange(block_len[gs[0]])]],
+             mach[p_off[gs, None] + np.arange((1 << kb) - 1)]],
             axis=1,
         )
-        step1.extend(wire_map[:, arr].reshape(-1, 2) for arr in tmpl)
+        step1.extend(wire_map[:, arr].reshape(-1, 2) for arr in _p_template(kb))
 
     # steps 2 and 3: every (slice, value) in use is a source read from its
     # P row, pasted into each of its targets in that paste's colour
@@ -240,28 +224,37 @@ def _stack_layers(vals, colour, widths, ctrl_wires, tgt_wires, mach, with_undo=T
 
 def _pick_k(n: int) -> int:
     """Slice width: floor(log2(n) / 2), lowered until a stack's 2k slices of
-    P rows and build scratch fit in n wires (at k = 1 they always do: a
-    stack of one or two 1-bit slices)."""
+    2^k - 1 P rows each fit in n wires, 2k(2^k - 1) <= n (at k = 1 they
+    always do: a stack of one or two 1-bit slices)."""
     k = max(1, (max(n, 2).bit_length() - 1) // 2)
-    while k > 1:
-        _, nz, s_len = _p_template(k)
-        if 2 * k * (nz + s_len) <= n:
-            break
+    while k > 1 and 2 * k * ((1 << k) - 1) > n:
         k -= 1
     return k
 
 
 @lru_cache(maxsize=None)
-def _p_template(kb: int):
-    """P-block build layers on virtual wires [ctrl | P rows | scratch],
-    translated per slice with one gather, and the P rows and scratch rows
-    used.  The scratch offered, kb * nz rows, is at least the kb * 2^(kb-1)
-    pastes, so it never runs short."""
+def _p_template(kb: int) -> tuple:
+    """P-block build layers on virtual wires [ctrl | P rows], row v (the sum
+    of the controls in v's bit mask) at offset kb + v - 1, translated per
+    slice with one gather: a doubling subset-sum tree of 2^(kb+1) - kb - 2
+    gates and no scratch rows.  For each bit b, a copy tree writes control
+    b into rows 2^(b+1) - 1 down to 2^b, every wire holding it feeding one
+    new row per round, and one layer adds row u into row 2^b + u for
+    1 <= u < 2^b.  The last round only writes row 2^b, which no add
+    touches, so the add runs beside it and the build, levelled here once,
+    takes kb layers (kb + 1, and deeper circuits, with row 2^b written
+    first).  The layers are intp arrays, which index faster than int32."""
     nz = (1 << kb) - 1
-    layers, s_len = _sparse_layers(
-        range(1, nz + 1), kb, range(kb), range(kb, kb + nz), range(kb + nz, kb + nz + kb * nz)
-    )
-    return tuple(layers), nz, s_len
+    top_down = np.arange(kb)[::-1]
+    seq = _doubling_rounds(top_down, 1 << top_down, kb - 1 + np.arange(nz, 0, -1))
+    for b in range(1, kb):
+        low = np.arange(kb, kb + (1 << b) - 1)  # rows 1 .. 2^b - 1
+        seq.append(np.stack([low, low + (1 << b)], axis=1))
+    level_asap(seq, kb + nz)
+    out = tuple(arr.astype(np.intp) for arr in seq)
+    for arr in out:
+        arr.setflags(write=False)  # shared by every caller through the cache
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 from cnotsynth import (
     Circuit,
+    DimensionMismatch,
     F2Matrix,
     Layer,
     MalformedLayer,
@@ -193,6 +194,11 @@ class TestTextFormat:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             parse_circuit("CNOTC v2 wires=3 data=2\n")
+
+    @pytest.mark.parametrize("counts", ["wires=0 data=0", "wires=3 data=0", "wires=3 data=4"])
+    def test_bad_header_wire_counts(self, counts):
+        with pytest.raises(DimensionMismatch):
+            parse_circuit(f"CNOTC v1 {counts}\n")
 
     @pytest.mark.parametrize("wires, depth", [(12000, 8), (20000, 5), (100, 3000), (2, 3)])
     def test_round_trip_many_chunks(self, wires, depth):

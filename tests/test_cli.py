@@ -202,13 +202,13 @@ class TestBench:
         assert run(["bench", "--sizes", "16", "--methods", "warp"]) == 1
 
     def test_ancilla_scale_recorded_as_built(self, workdir, capsys):
-        # max_scale(64) = 1: scale 2 is clamped and recorded as 1, and
-        # scale 0 is rejected instead of running as 1
+        # max_scale(64) = 1: scale 2 is clamped to 1, which is built and
+        # recorded once, and scale 0 is rejected instead of running as 1
         with pytest.warns(UserWarning, match="ancilla scale 2 clamped to 1"):
             rc = run(["bench", "--sizes", 64, "--methods", "ancilla", "--scale", "1,2",
                       "--csv", workdir / "out.csv"])
         assert rc == 0
         rows = parse_csv((workdir / "out.csv").read_text())
-        assert [(r.s, r.ancillae) for r in rows] == [(1, 4 * 64)] * 2
+        assert [(r.s, r.ancillae) for r in rows] == [(1, 4 * 64)]
         assert run(["bench", "--sizes", 64, "--methods", "ancilla", "--scale", "0,2"]) == 1
         assert "error: need n >= 1 and s >= 1" in capsys.readouterr().err

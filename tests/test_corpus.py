@@ -47,12 +47,14 @@ METHODS = {
 # colouring every class of a stage in one call left the bytes as they were.
 # Both ancilla digests were re-pinned when the random-salt paste colours
 # gave way to the deterministic runs-of-2k greedy (_paste_colours): other
-# gates and layers, the same matrices.
+# gates and layers, the same matrices.  They were re-pinned again when the
+# P blocks began to be built by a doubling subset-sum tree without scratch
+# rows (_p_template), which also lets n = 64..71 take k = 3.
 CORPUS_SHA256 = {
     "simple": "cf99b441326976c8172dc5aa5d622e7f938d8928d7cf53aeefab3ff309decf1f",
     "dnc": "b3db0b6c445acd92a7c01f1e586a462422334e84bcaccca6aecfedb974aefdb0",
-    "ancilla_s1": "92205a771ecea3706025cde29642b5161b6be1c7cb51aac7b2980c1cefd0b7eb",
-    "ancilla_s2": "44a207c77ad6a976545033ccedb507563c440abf5abadbb0b1d3fe263006fd51",
+    "ancilla_s1": "e10ccf2ea83c3d4bff382bb7112b180bbc67f6e5acaa03c33dc31c026711dc60",
+    "ancilla_s2": "95089caa4120abc33bfb8b40f082ec1002e2d0ef33495f9b8bdc6a0865c7b5b2",
 }
 
 
@@ -96,12 +98,12 @@ STRUCTURED = {
 # the dnc base case and its first splits.  Each covers the matrix text and
 # that method's circuit text, as CORPUS_SHA256 does.  dnc was re-pinned
 # with the layby threshold, and both ancilla digests with the runs-of-2k
-# paste colours, the same way as there.
+# paste colours and the subset-sum P blocks, the same way as there.
 STRUCTURED_SHA256 = {
     "simple": "df7a6ffd66b20a9c9d727366ee3ec8d00f702148d3def802fae891e47e9a8481",
     "dnc": "26932af9c1fed0f35d4819f46722460a77c1ae62bdb5079f82a1e71125c41c0d",
-    "ancilla_s1": "bae89c0215b251f20e3a0db8fac4e191fa284e5c5260bce8e853e652a04f9498",
-    "ancilla_s2": "d4b5dd44c5346947657e22a12533313ad72b87793e0acd33c6c5c96cec98b787",
+    "ancilla_s1": "de3f97bd1501dd35059ca06786fed2e63ed562479f0f9ed3addbdba44ef6f215",
+    "ancilla_s2": "cea4d9d736a3e3393c67b076fd4fcadd169ec3764cb7cae38e8285551e59eea6",
 }
 
 

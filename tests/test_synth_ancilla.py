@@ -15,7 +15,7 @@ from cnotsynth import (
     verify_implements,
 )
 from cnotsynth import synth_ancilla
-from cnotsynth.circuit import levelled_circuit
+from cnotsynth.circuit import Circuit, Layer, levelled_circuit
 from cnotsynth.synth_ancilla import (
     _doubling_rounds,
     _embed_layers,
@@ -24,7 +24,6 @@ from cnotsynth.synth_ancilla import (
     _paste_colours,
     _pick_k,
     _slice_values,
-    _sparse_layers,
     _stack_layers,
 )
 
@@ -32,8 +31,9 @@ from cnotsynth.synth_ancilla import (
 # runs, levelled on their own: an embedding (_embed_layers) on n data wires,
 # an n-wire mirror block and 3sn work wires; one column group of s stacks
 # (_group_layers) writing into the mirror rows; one stack (_stack_layers);
-# and the sparse block (_sparse_layers).  A group or a stack has its pastes
-# coloured by _paste_colours, as the embedding colours all of its own.
+# and the P-block template (_p_template).  A group or a stack has its
+# pastes coloured by _paste_colours, as the embedding colours all of its
+# own.
 
 
 def levelled(layers, wires):
@@ -43,14 +43,6 @@ def levelled(layers, wires):
 def block(sim, rows, cols):
     d = sim.to_dense()
     return d[np.ix_(list(rows), list(cols))]
-
-
-def sparse_circuit(y, ctrl, tgt, scratch):
-    """Rows of the 0/1 array y, bit masks over the control wires, added to
-    the target wires through the scratch wires."""
-    vals = (np.asarray(y, dtype=np.int64) << np.arange(y.shape[1])).sum(axis=1)
-    layers, _ = _sparse_layers(vals, y.shape[1], ctrl, tgt, scratch)
-    return levelled(layers, 1 + max(*ctrl, *tgt, *scratch))
 
 
 def stack_circuit(y, ctrl, tgt, mach, n):
@@ -124,10 +116,7 @@ class TestDoublingRounds:
 @pytest.fixture
 def stack_schedules(monkeypatch):
     """(demand and extra copies per source, spare wires offered) of every
-    stack schedule that _paste_layers returns; the P templates are built
-    first, so their schedules are not recorded."""
-    for kb in range(1, 8):
-        _p_template(kb)
+    stack schedule that _paste_layers returns."""
     paste_layers = synth_ancilla._paste_layers
     got = []
 
@@ -140,92 +129,36 @@ def stack_schedules(monkeypatch):
     return got
 
 
-def _reference_sparse_layers(vals, kb, ctrl_wires, tgt_wires, scratch_wires):
-    """The sparse construction as scheduled before the shared paste
-    scheduler: a per-target loop over the set bits, ranking each paste
-    within its (bit, layer) class, and one paste array per layer."""
-    keep = [i for i, v in enumerate(vals) if v]
-    uses = {}
-    sched = []
-    for t in keep:
-        x, p = int(vals[t]), 0
-        while x:
-            b = (x & -x).bit_length() - 1
-            r = uses.get((b, p), 0)
-            uses[(b, p)] = r + 1
-            sched.append((t, b, p, r))
-            x &= x - 1
-            p += 1
-    copies = [0] * kb
-    for (b, _p), cnt in uses.items():
-        copies[b] = max(copies[b], cnt - 1)
-    bases = np.cumsum([0] + copies)
-    scr = np.asarray(scratch_wires[: bases[-1]], dtype=np.int64)
-    build = _doubling_rounds(np.asarray(ctrl_wires[:kb]), np.asarray(copies), scr)
-    paste = []
-    for p in range(max((e[2] for e in sched), default=-1) + 1):
-        paste.append(np.asarray([
-            (ctrl_wires[b] if r == 0 else scr[bases[b] + r - 1], tgt_wires[t])
-            for t, b, q, r in sched if q == p
-        ]))
-    return build + paste + list(reversed(build)), int(bases[-1])
+class TestPTemplate:
+    """The P-block build: _p_template."""
 
+    @pytest.mark.parametrize("kb", range(1, 9))
+    def test_subset_sums_in_levelled_layers(self, kb):
+        # on wires [ctrl | P rows], row v at kb + v - 1 ends up holding the
+        # sum of the controls in v's bit mask; the build is 2^(kb+1)-kb-2
+        # gates on disjoint wires in kb levels, one array per level, and its
+        # reversal restores every wire
+        nz = (1 << kb) - 1
+        tmpl = _p_template(kb)
+        c = Circuit(kb + nz, kb + nz, [Layer(arr) for arr in tmpl])
+        assert c.size == (1 << (kb + 1)) - kb - 2
+        assert c.depth == len(tmpl) == kb
+        assert levelled(tmpl, c.wires).depth == c.depth
+        d = simulate_to_matrix(c).to_dense()
+        masks = (np.arange(1, nz + 1)[:, None] >> np.arange(kb)) & 1
+        assert np.array_equal(d[kb:, :kb], masks)
+        assert np.array_equal(d[:kb], np.eye(kb, c.wires, dtype=np.uint8))
+        undo = Circuit(c.wires, c.wires, c.layers + c.layers[::-1])
+        assert simulate_to_matrix(undo) == F2Matrix.identity(c.wires)
 
-class TestSparseSchedule:
-    @pytest.mark.parametrize("kb", range(1, 8))
-    def test_matches_reference(self, kb):
-        # same arrays in the same order, each with the same gate set; values
-        # drawn with zeros and repeats, plus the P-block template's list
-        rng = np.random.default_rng(kb)
-        cases = [list(range(1, 1 << kb))]
-        for size in (1, 5, 3 << kb):
-            vals = rng.integers(0, 1 << kb, size)
-            vals[rng.random(size) < 0.2] = 0
-            cases.append(vals.tolist())
-        for vals in cases:
-            ctrl = list(range(kb))
-            tgt = list(range(kb, kb + len(vals)))
-            scr = list(range(kb + len(vals), kb + len(vals) + kb * len(vals)))
-            got, used = _sparse_layers(vals, kb, ctrl, tgt, scr)
-            want, want_used = _reference_sparse_layers(vals, kb, ctrl, tgt, scr)
-            assert used == want_used
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                assert sorted(map(tuple, a.tolist())) == sorted(map(tuple, b.tolist()))
-
-
-class TestGenSparse:
-    """The sparse block: _sparse_layers."""
-
-    def test_zero_matrix_empty(self):
-        y = np.zeros((4, 3), dtype=np.uint8)
-        c = sparse_circuit(y, [0, 1, 2], [3, 4, 5, 6], [7, 8, 9, 10, 11, 12])
-        assert c.size == 0
-
-    def test_single_one_depth_le_3(self):
-        y = np.array([[0, 1, 0], [0, 0, 0]], dtype=np.uint8)
-        c = sparse_circuit(y, [0, 1, 2], [3, 4], [5, 6, 7, 8])
-        assert c.depth <= 3
-        sim = simulate_to_matrix(c)
-        assert np.array_equal(block(sim, [3, 4], [0, 1, 2]), y)
-        # scratch restored
-        assert np.array_equal(block(sim, range(5, 9), range(9)),
-                              np.eye(9, dtype=np.uint8)[5:])
-
-    def test_all_vectors_block(self):
-        # the full P stack: every nonzero 4-bit sum lands in its target row
-        k = 4
-        y = np.array([[(v >> b) & 1 for b in range(k)] for v in range(1 << k)], dtype=np.uint8)
-        ctrl = list(range(k))
-        tgt = list(range(k, k + (1 << k)))
-        scr = list(range(k + (1 << k), k + (1 << k) + 40))
-        c = sparse_circuit(y, ctrl, tgt, scr)
-        sim = simulate_to_matrix(c)
-        assert np.array_equal(block(sim, tgt, ctrl), y)
-        assert c.depth <= 3 * k + 4
-        for w in scr:
-            row = sim.to_dense()[w]
-            assert row[w] == 1 and row.sum() == 1
+    def test_stack_p_rows_fit_n_wires(self):
+        # a stack's at most 2k slices, full ones first, hold 2^w - 1 P rows
+        # per slice of width w; _pick_k keeps them within n wires
+        for n in range(1, 1 << 16):
+            k = _pick_k(n)
+            full, rem = divmod(n, k)
+            widths = ([k] * full + [rem] * (rem > 0))[: 2 * k]
+            assert sum((1 << w) - 1 for w in widths) <= n, n
 
 
 def _reference_paste_colours(vals, g):
