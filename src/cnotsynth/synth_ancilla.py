@@ -24,9 +24,13 @@ contract leaves unconstrained.
 
 Every fragment is emitted as one gate sequence, stack after stack and
 group after group, and levelled once as soon as possible
-(circuit.levelled_circuit): stacks on disjoint wires run side by side, and
-a group's build overlaps the previous group's restore wherever their wires
-are free.
+(circuit.levelled_circuit): stacks on disjoint wires run side by side.
+Consecutive groups are double-buffered: wherever a stack's machinery holds
+two P spans and its n copy rows (stack 0 for every n >= 2, the partial
+stacks for every n outside [1,3], [16,23] and [64,83]), even groups build
+their P rows in the first span and odd groups in the second, so a group's
+P build runs beside the previous group's pastes and undo.  The gates are
+the same either way; only their wires and levels move.
 """
 
 from __future__ import annotations
@@ -173,16 +177,21 @@ def _paste_colours(vals, g: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _stack_layers(vals, colour, widths, ctrl_wires, tgt_wires, mach, with_undo=True):
+def _stack_layers(vals, colour, widths, ctrl_wires, tgt_wires, mach, with_undo=True, parity=0):
     """Layers writing a stack's slices (``vals`` and their paste colours,
     slices x targets, slice g reading the next widths[g] control wires)
     into the target rows; machinery is restored when ``with_undo`` (a
     caller reversing the whole stack skips it).
 
     Machinery holds, per slice, its 2^kb - 1 P rows, then the copy rows of
-    _paste_layers, contiguous per (slice, value).  _pick_k keeps the P rows
-    within n wires and _paste_colours the copies, so 2n machinery wires
-    always suffice.
+    _paste_layers, contiguous per (slice, value).  The P rows take at most
+    one P span (_p_span) and the copies at most n wires.  Where two spans
+    and n copies fit the machinery, it holds two P regions of one span
+    each, the stack's P rows in region ``parity`` (its group's parity), and
+    the copy rows after both: consecutive groups then build their P blocks
+    on disjoint wires, and the levelling runs one group's build beside the
+    previous group's pastes and undo.  Elsewhere the copy rows follow the P
+    rows; 2n machinery wires always suffice for that.
     """
     ctrl = np.asarray(ctrl_wires, dtype=np.int64)
     tgt = np.asarray(tgt_wires, dtype=np.int64)
@@ -194,8 +203,12 @@ def _stack_layers(vals, colour, widths, ctrl_wires, tgt_wires, mach, with_undo=T
     # step 1: P blocks of all nonzero kb-bit sums, one template layer for
     # all slices of a width at a time
     block_len = (1 << widths) - 1
-    p_off = np.cumsum(block_len) - block_len
-    used = int(block_len.sum())
+    span = _p_span(tgt.size)
+    if 2 * span + tgt.size <= mach.size:
+        p_base, spare = parity * span, mach[2 * span :]
+    else:
+        p_base, spare = 0, mach[int(block_len.sum()) :]
+    p_off = p_base + np.cumsum(block_len) - block_len
     step1: list = []
     for kb in dict.fromkeys(widths.tolist()):
         gs = np.flatnonzero(widths == kb)
@@ -214,7 +227,7 @@ def _stack_layers(vals, colour, widths, ctrl_wires, tgt_wires, mach, with_undo=T
     cells = np.flatnonzero(present)
     step2, step3, _ = _paste_layers(
         (np.cumsum(present) - 1)[cell], colour[gg, rows], tgt[rows],
-        mach[p_off[cells // nv] + cells % nv - 1], mach[used:],
+        mach[p_off[cells // nv] + cells % nv - 1], spare,
     )
 
     if not with_undo:
@@ -230,6 +243,13 @@ def _pick_k(n: int) -> int:
     while k > 1 and 2 * k * ((1 << k) - 1) > n:
         k -= 1
     return k
+
+
+def _p_span(n: int) -> int:
+    """Machinery wires that the P rows of one stack of n targets can take,
+    2k(2^k - 1) at k = _pick_k(n): at most n for n >= 2."""
+    k = _pick_k(n)
+    return 2 * k * ((1 << k) - 1)
 
 
 @lru_cache(maxsize=None)
@@ -271,13 +291,15 @@ def _fanin_layers(partial_bases: list, tgt_base: int, n_t: int) -> list:
     return _fold_layers([base + rows for base in partial_bases], tgt_base + rows)
 
 
-def _group_layers(vals, colour, widths, k, ctrl_base, tgt_base):
+def _group_layers(vals, colour, widths, k, ctrl_base, tgt_base, parity=0):
     """One group of at most s stacks of 2k slices (``vals`` and their paste
     colours, slices x n targets, read from the control wires from
     ``ctrl_base``) on disjoint wires: stack 0 takes its whole region as
     machinery, pastes straight into the target rows and undoes its
     machinery; stacks 1..s-1 paste into partial blocks, the first n wires
-    of their regions, fanned in before their builds reverse."""
+    of their regions, fanned in before their builds reverse.  Each stack
+    builds its P rows in the P region ``parity`` (the group's parity within
+    its embedding) where its machinery holds two (_stack_layers)."""
     n = vals.shape[1]
     direct, build, partials = [], [], []
     for i, g0 in enumerate(range(0, len(widths), 2 * k)):
@@ -292,6 +314,7 @@ def _group_layers(vals, colour, widths, k, ctrl_base, tgt_base):
         sub = _stack_layers(
             vals[g0:g1], colour[g0:g1], widths[g0:g1],
             np.arange(c0, c0 + int(widths[g0:g1].sum())), tgts, mach, with_undo=i == 0,
+            parity=parity,
         )
         (build if i else direct).extend(sub)
     return direct + build + _fanin_layers(partials, tgt_base, n) + list(reversed(build))
@@ -300,17 +323,20 @@ def _group_layers(vals, colour, widths, k, ctrl_base, tgt_base):
 def _embed_layers(m_dense, s: int, ctrl_base: int, tgt_base: int) -> list:
     """Layers adding the n x n matrix M (columns read from ctrl wires) into
     the target rows, work region restored; the pastes of every stack are
-    coloured together, and column groups of s*2k^2 run sequentially."""
+    coloured together.  Column groups of s*2k^2 are emitted one after
+    another, group gi building its P rows in P region gi % 2, so that
+    where a stack holds two regions one group's build overlaps the
+    previous group's pastes and undo once levelled."""
     k = _pick_k(m_dense.shape[0])
     widths, vals = _slice_values(m_dense, k)
     colour = _paste_colours(vals, 2 * k)
     per_group = s * 2 * k  # slices
     layers = []
-    for g0 in range(0, len(widths), per_group):
+    for gi, g0 in enumerate(range(0, len(widths), per_group)):
         g1 = g0 + per_group
         layers.extend(
             _group_layers(vals[g0:g1], colour[g0:g1], widths[g0:g1], k,
-                          ctrl_base + k * g0, tgt_base)
+                          ctrl_base + k * g0, tgt_base, parity=gi % 2)
         )
     return layers
 

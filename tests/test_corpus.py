@@ -49,12 +49,19 @@ METHODS = {
 # gave way to the deterministic runs-of-2k greedy (_paste_colours): other
 # gates and layers, the same matrices.  They were re-pinned again when the
 # P blocks began to be built by a doubling subset-sum tree without scratch
-# rows (_p_template), which also lets n = 64..71 take k = 3.
+# rows (_p_template), which also lets n = 64..71 take k = 3, and again
+# when consecutive column groups began building their P rows in two
+# alternating machinery regions (_stack_layers): the same gates in other
+# wires and fewer layers.  Recipe for a re-pin: with the new source, run
+# ``PYTHONPATH=src python -m pytest -q tests/test_corpus.py`` and copy each
+# changed method's new hex digest from the failing assertion's "!=" lines
+# into CORPUS_SHA256 or STRUCTURED_SHA256; any other digest that moves
+# means the change reached a method it was not meant to.
 CORPUS_SHA256 = {
     "simple": "cf99b441326976c8172dc5aa5d622e7f938d8928d7cf53aeefab3ff309decf1f",
     "dnc": "b3db0b6c445acd92a7c01f1e586a462422334e84bcaccca6aecfedb974aefdb0",
-    "ancilla_s1": "e10ccf2ea83c3d4bff382bb7112b180bbc67f6e5acaa03c33dc31c026711dc60",
-    "ancilla_s2": "95089caa4120abc33bfb8b40f082ec1002e2d0ef33495f9b8bdc6a0865c7b5b2",
+    "ancilla_s1": "663407ee716e8e65f6fb04ce6035b7c6bbc9c1b6c93f4eddbcc9be0b9ddcf43f",
+    "ancilla_s2": "9f85497b17a43337b6b702ffb9da582f80ef3267c0eae7f21d11946a6dce069b",
 }
 
 
@@ -98,12 +105,13 @@ STRUCTURED = {
 # the dnc base case and its first splits.  Each covers the matrix text and
 # that method's circuit text, as CORPUS_SHA256 does.  dnc was re-pinned
 # with the layby threshold, and both ancilla digests with the runs-of-2k
-# paste colours and the subset-sum P blocks, the same way as there.
+# paste colours, the subset-sum P blocks and the alternating P regions, the
+# same way as there.
 STRUCTURED_SHA256 = {
     "simple": "df7a6ffd66b20a9c9d727366ee3ec8d00f702148d3def802fae891e47e9a8481",
     "dnc": "26932af9c1fed0f35d4819f46722460a77c1ae62bdb5079f82a1e71125c41c0d",
-    "ancilla_s1": "de3f97bd1501dd35059ca06786fed2e63ed562479f0f9ed3addbdba44ef6f215",
-    "ancilla_s2": "cea4d9d736a3e3393c67b076fd4fcadd169ec3764cb7cae38e8285551e59eea6",
+    "ancilla_s1": "d7f02e120c064bf65926496ee6515347528fd10e25c13017648eef35e5414c47",
+    "ancilla_s2": "b5c8121d106820a274b6cf469b3c0abb1f68667b1b75e845fa2e771d385bf1fc",
 }
 
 

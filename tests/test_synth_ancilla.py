@@ -20,6 +20,7 @@ from cnotsynth.synth_ancilla import (
     _doubling_rounds,
     _embed_layers,
     _group_layers,
+    _p_span,
     _p_template,
     _paste_colours,
     _pick_k,
@@ -153,12 +154,69 @@ class TestPTemplate:
 
     def test_stack_p_rows_fit_n_wires(self):
         # a stack's at most 2k slices, full ones first, hold 2^w - 1 P rows
-        # per slice of width w; _pick_k keeps them within n wires
+        # per slice of width w; _pick_k keeps them within n wires, and
+        # within one P span
         for n in range(1, 1 << 16):
             k = _pick_k(n)
             full, rem = divmod(n, k)
             widths = ([k] * full + [rem] * (rem > 0))[: 2 * k]
-            assert sum((1 << w) - 1 for w in widths) <= n, n
+            assert sum((1 << w) - 1 for w in widths) <= min(n, _p_span(n)), n
+
+
+class TestPRegions:
+    """Double-buffered P rows: a stack whose machinery holds two P spans and
+    n copy rows builds each group's P rows in the region of the group's
+    parity, so consecutive groups build on disjoint wires."""
+
+    def test_two_spans_and_copies_fit_where_a_stack_alternates(self):
+        # stack 0 has 3n machinery wires, a partial stack 2n; a stack
+        # alternates where two spans and the copy rows (at most n) fit
+        # them.  A stack's P rows fill at most one span
+        # (TestPTemplate::test_stack_p_rows_fit_n_wires).
+        single = {3: [], 2: []}
+        for n in range(1, 1 << 16):
+            span = _p_span(n)
+            k = _pick_k(n)
+            assert span == 2 * k * ((1 << k) - 1) <= max(n, 2), n
+            for mult, ns in single.items():
+                if 2 * span + n > mult * n:
+                    ns.append(n)
+        assert single[3] == [1]
+        assert single[2] == [*range(1, 4), *range(16, 24), *range(64, 84)]
+
+    @pytest.mark.parametrize("n,s", [(64, 1), (83, 2), (84, 2), (256, 2), (300, 4)])
+    def test_consecutive_groups_build_on_disjoint_p_rows(self, n, s, monkeypatch):
+        stack_layers = synth_ancilla._stack_layers
+        built = {}  # first machinery wire -> (machinery size, P rows per group)
+
+        def record(vals, colour, widths, ctrl, tgt, mach, with_undo=True, parity=0):
+            out = stack_layers(vals, colour, widths, ctrl, tgt, mach, with_undo, parity)
+            nb = sum(len(_p_template(kb)) for kb in dict.fromkeys(widths.tolist()))
+            rows = set(np.concatenate([a[:, 1] for a in out[:nb]]).tolist())
+            assert rows <= set(mach.tolist())
+            built.setdefault(int(mach[0]), (mach.size, []))[1].append(rows)
+            return out
+
+        monkeypatch.setattr(synth_ancilla, "_stack_layers", record)
+        dense = np.random.default_rng(n).integers(0, 2, (n, n)).astype(np.uint8)
+        _embed_layers(dense, s, 0, n)
+        checked = {True: 0, False: 0}
+        for size, groups in built.values():
+            alternates = 2 * _p_span(n) + n <= size
+            for a, b in zip(groups, groups[1:]):
+                # one P region: the next group rebuilds on the same rows
+                assert (a.isdisjoint(b)) == alternates, (n, s, size)
+                checked[alternates] += 1
+        assert checked[True] > 0
+        # only the partial stacks at n = 64..83 keep one region here
+        assert bool(checked[False]) == (n == 83)
+
+    @pytest.mark.parametrize("n", [15, 16, 23, 24, 63, 64, 83, 84, 85])
+    def test_verifies_at_every_scale_around_the_single_region_ranges(self, n):
+        m = random_gl(n, n)
+        for s in range(1, max_scale(n) + 1):
+            rep = verify_implements(synth_with_ancillae(m, s), m)
+            assert rep.ok and rep.ancilla_restored, (n, s)
 
 
 def _reference_paste_colours(vals, g):
@@ -426,3 +484,22 @@ def test_gates_below_parent(s, n, seed):
     c = synth_with_ancillae(m, s, seed=seed)
     assert verify_implements(c, m).ok
     assert c.size <= GATE_RATIO[s] * PARENT_GATES[s][n, seed]
+
+
+# synth_with_ancillae(random_gl(n, seed), s, seed=seed).depth when every
+# column group built its P rows on the same machinery wires, so a group
+# could start only once the previous one had undone its own
+PARENT_DEPTHS = {
+    1: {(256, 0): 387, (256, 1): 389, (256, 2): 388, (1024, 1): 1299},
+    2: {(256, 0): 309, (256, 1): 307, (256, 2): 311, (1024, 1): 995},
+}
+
+
+@pytest.mark.parametrize(
+    "s,n,seed", [(s, n, seed) for s, v in PARENT_DEPTHS.items() for n, seed in sorted(v)]
+)
+def test_depth_below_parent(s, n, seed):
+    m = random_gl(n, seed)
+    c = synth_with_ancillae(m, s, seed=seed)
+    assert verify_implements(c, m).ok
+    assert c.depth <= 0.85 * PARENT_DEPTHS[s][n, seed]
