@@ -25,12 +25,16 @@ contract leaves unconstrained.
 Every fragment is emitted as one gate sequence, stack after stack and
 group after group, and levelled once as soon as possible
 (circuit.levelled_circuit): stacks on disjoint wires run side by side.
-Consecutive groups are double-buffered: wherever a stack's machinery holds
-two P spans and its n copy rows (stack 0 for every n >= 2, the partial
-stacks for every n outside [1,3], [16,23] and [64,83]), even groups build
-their P rows in the first span and odd groups in the second, so a group's
-P build runs beside the previous group's pastes and undo.  The gates are
-the same either way; only their wires and levels move.
+The 3sn work wires are carved by need (_stack_sizes): every stack gets
+two P spans and n copy rows (one span only at (n, s) = (1, 1) and
+(2, 2)), a partial stack its partial block too, and the partial stacks
+take n more copy rows each, in stack order, while they fit.  Consecutive
+groups are double-buffered: even groups build their P rows in the first
+span and odd groups in the second, so a group's P build runs beside the
+previous group's pastes and undo; a partial stack with the extra copy
+rows also makes each group's copies in the n rows of its parity, so a
+group's copy fan-out runs beside the previous group's reversal.  The
+gates are the same either way; only their wires and levels move.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ from .synth_free import _split_by, permutation_layers
 
 # ----------------------------------------------------------------------
 # layout: n data wires, an n-wire mirror block and a 3sn-wire work block;
-# stack i of a column group owns the 3n work wires from 2n + 3ni
+# stack i of a column group owns the _stack_sizes(n, s)[i] work wires that
+# follow those of stacks 0..i-1, the first from 2n
 # ----------------------------------------------------------------------
 
 
@@ -190,8 +195,10 @@ def _stack_layers(vals, colour, widths, ctrl_wires, tgt_wires, mach, with_undo=T
     each, the stack's P rows in region ``parity`` (its group's parity), and
     the copy rows after both: consecutive groups then build their P blocks
     on disjoint wires, and the levelling runs one group's build beside the
-    previous group's pastes and undo.  Elsewhere the copy rows follow the P
-    rows; 2n machinery wires always suffice for that.
+    previous group's pastes and undo.  Where two spans and 2n copies fit,
+    the copies of parity p start p*n wires past both regions, so
+    consecutive groups copy on disjoint wires too.  Elsewhere the copy rows
+    follow the P rows; 2n machinery wires always suffice for that.
     """
     ctrl = np.asarray(ctrl_wires, dtype=np.int64)
     tgt = np.asarray(tgt_wires, dtype=np.int64)
@@ -203,9 +210,12 @@ def _stack_layers(vals, colour, widths, ctrl_wires, tgt_wires, mach, with_undo=T
     # step 1: P blocks of all nonzero kb-bit sums, one template layer for
     # all slices of a width at a time
     block_len = (1 << widths) - 1
-    span = _p_span(tgt.size)
-    if 2 * span + tgt.size <= mach.size:
+    n = tgt.size
+    span = _p_span(n)
+    if 2 * span + n <= mach.size:
         p_base, spare = parity * span, mach[2 * span :]
+        if 2 * span + 2 * n <= mach.size:
+            spare = spare[parity * n :]
     else:
         p_base, spare = 0, mach[int(block_len.sum()) :]
     p_off = p_base + np.cumsum(block_len) - block_len
@@ -252,6 +262,22 @@ def _p_span(n: int) -> int:
     return 2 * k * ((1 << k) - 1)
 
 
+def _stack_sizes(n: int, s: int) -> list:
+    """Work wires of each stack of a column group, in stack order, carved
+    from the 3sn work wires by need: stack 0 holds machinery only, a
+    partial stack its n-row partial block and then its machinery.  Each
+    stack starts from one P span and n copy rows; then every stack takes a
+    second P span, and the partial stacks n more copy rows, in stack order
+    while the total fits.  Two spans fit everywhere but (n, s) in
+    {(1, 1), (2, 2)}.  Stack 0 never takes the second copy rows: alternating
+    its copies would make s = 1 shallower than s = 2 (n = 256)."""
+    span = _p_span(n)
+    room = s * (n - span) + n  # 3sn less one span, n copies and the partials
+    two = min(s, room // span)  # stacks 0..two-1 take a second span
+    more = min(s - 1, (room - two * span) // n)  # stacks 1..more copy twice
+    return [(1 + (i < two)) * span + (1 + (i > 0) + (0 < i <= more)) * n for i in range(s)]
+
+
 @lru_cache(maxsize=None)
 def _p_template(kb: int) -> tuple:
     """P-block build layers on virtual wires [ctrl | P rows], row v (the sum
@@ -291,25 +317,28 @@ def _fanin_layers(partial_bases: list, tgt_base: int, n_t: int) -> list:
     return _fold_layers([base + rows for base in partial_bases], tgt_base + rows)
 
 
-def _group_layers(vals, colour, widths, k, ctrl_base, tgt_base, parity=0):
+def _group_layers(vals, colour, widths, k, ctrl_base, tgt_base, sizes, parity=0):
     """One group of at most s stacks of 2k slices (``vals`` and their paste
     colours, slices x n targets, read from the control wires from
-    ``ctrl_base``) on disjoint wires: stack 0 takes its whole region as
+    ``ctrl_base``) on the work regions of ``sizes`` (_stack_sizes), laid
+    one after another from wire 2n: stack 0 takes its whole region as
     machinery, pastes straight into the target rows and undoes its
     machinery; stacks 1..s-1 paste into partial blocks, the first n wires
     of their regions, fanned in before their builds reverse.  Each stack
-    builds its P rows in the P region ``parity`` (the group's parity within
-    its embedding) where its machinery holds two (_stack_layers)."""
+    builds its P rows, and makes its copies, in the region of ``parity``
+    (the group's parity within its embedding) where its machinery holds
+    two (_stack_layers)."""
     n = vals.shape[1]
+    starts = 2 * n + np.cumsum(sizes) - sizes
     direct, build, partials = [], [], []
     for i, g0 in enumerate(range(0, len(widths), 2 * k)):
         g1 = g0 + 2 * k
-        region = 2 * n + 3 * n * i
+        region = np.arange(starts[i], starts[i] + sizes[i])
         if i == 0:
-            tgts, mach = np.arange(tgt_base, tgt_base + n), np.arange(region, region + 3 * n)
+            tgts, mach = np.arange(tgt_base, tgt_base + n), region
         else:
-            tgts, mach = np.arange(region, region + n), np.arange(region + n, region + 3 * n)
-            partials.append(region)
+            tgts, mach = region[:n], region[n:]
+            partials.append(int(starts[i]))
         c0 = ctrl_base + k * g0
         sub = _stack_layers(
             vals[g0:g1], colour[g0:g1], widths[g0:g1],
@@ -323,20 +352,23 @@ def _group_layers(vals, colour, widths, k, ctrl_base, tgt_base, parity=0):
 def _embed_layers(m_dense, s: int, ctrl_base: int, tgt_base: int) -> list:
     """Layers adding the n x n matrix M (columns read from ctrl wires) into
     the target rows, work region restored; the pastes of every stack are
-    coloured together.  Column groups of s*2k^2 are emitted one after
-    another, group gi building its P rows in P region gi % 2, so that
-    where a stack holds two regions one group's build overlaps the
-    previous group's pastes and undo once levelled."""
+    coloured together.  The work region is carved once (_stack_sizes) and
+    every group uses the same stacks.  Column groups of s*2k^2 are emitted
+    one after another, group gi building its P rows (and, in a partial
+    stack with room for two sets, making its copies) in region gi % 2, so
+    that one group's build overlaps the previous group's pastes and undo
+    once levelled."""
     k = _pick_k(m_dense.shape[0])
     widths, vals = _slice_values(m_dense, k)
     colour = _paste_colours(vals, 2 * k)
+    sizes = _stack_sizes(m_dense.shape[0], s)
     per_group = s * 2 * k  # slices
     layers = []
     for gi, g0 in enumerate(range(0, len(widths), per_group)):
         g1 = g0 + per_group
         layers.extend(
             _group_layers(vals[g0:g1], colour[g0:g1], widths[g0:g1], k,
-                          ctrl_base + k * g0, tgt_base, parity=gi % 2)
+                          ctrl_base + k * g0, tgt_base, sizes, parity=gi % 2)
         )
     return layers
 

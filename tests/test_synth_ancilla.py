@@ -26,6 +26,7 @@ from cnotsynth.synth_ancilla import (
     _pick_k,
     _slice_values,
     _stack_layers,
+    _stack_sizes,
 )
 
 # The fragment tests below run the private builders that synth_with_ancillae
@@ -61,7 +62,7 @@ def group_circuit(y, s):
     n = y.rows
     k = _pick_k(n)
     widths, vals = _slice_values(y.to_dense(), k)
-    layers = _group_layers(vals, _paste_colours(vals, 2 * k), widths, k, 0, n)
+    layers = _group_layers(vals, _paste_colours(vals, 2 * k), widths, k, 0, n, _stack_sizes(n, s))
     return levelled(layers, (3 * s + 2) * n)
 
 
@@ -164,52 +165,84 @@ class TestPTemplate:
 
 
 class TestPRegions:
-    """Double-buffered P rows: a stack whose machinery holds two P spans and
-    n copy rows builds each group's P rows in the region of the group's
-    parity, so consecutive groups build on disjoint wires."""
+    """The work region carved by need (_stack_sizes) and its double buffers:
+    a stack whose machinery holds two P spans and n copy rows builds each
+    group's P rows in the span of the group's parity, and a partial stack
+    whose machinery holds two spans and 2n copy rows also makes each
+    group's copies in the n rows of that parity, so consecutive groups
+    build and copy on disjoint wires."""
+
+    SCALES = [(n, s) for n in range(1, 4097) for s in range(1, max_scale(n) + 1)] + [
+        (n, s) for n in (8192, 65535) for s in sorted({1, 2, max_scale(n)})
+    ]
 
     def test_two_spans_and_copies_fit_where_a_stack_alternates(self):
-        # stack 0 has 3n machinery wires, a partial stack 2n; a stack
-        # alternates where two spans and the copy rows (at most n) fit
-        # them.  A stack's P rows fill at most one span
-        # (TestPTemplate::test_stack_p_rows_fit_n_wires).
-        single = {3: [], 2: []}
+        # a stack's P rows fill at most one span
+        # (TestPTemplate::test_stack_p_rows_fit_n_wires), at most n wires
         for n in range(1, 1 << 16):
-            span = _p_span(n)
             k = _pick_k(n)
-            assert span == 2 * k * ((1 << k) - 1) <= max(n, 2), n
-            for mult, ns in single.items():
-                if 2 * span + n > mult * n:
-                    ns.append(n)
-        assert single[3] == [1]
-        assert single[2] == [*range(1, 4), *range(16, 24), *range(64, 84)]
+            assert _p_span(n) == 2 * k * ((1 << k) - 1) <= max(n, 2), n
+        # stack i owns the wires from 2n + sizes[:i].sum(): contiguous, so
+        # disjoint, and inside the (3s+1)n ancillae when sizes.sum() <= 3sn.
+        # A partial stack's first n wires are its partial block; the rest,
+        # its machinery, is one or two P spans and one or two sets of n copy
+        # rows, as the inequalities of _stack_layers read it
+        single = []
+        for n, s in self.SCALES:
+            span, sizes = _p_span(n), _stack_sizes(n, s)
+            assert len(sizes) == s and sum(sizes) <= 3 * s * n, (n, s)
+            spare = 3 * s * n - (2 * s * span + (2 * s - 1) * n)
+            q = min(s - 1, spare // n)
+            for i, size in enumerate(sizes):
+                mach = size - n * (i > 0)
+                spans = 1 + (2 * span + n <= mach)
+                copies = 1 + (2 * span + 2 * n <= mach)
+                assert mach == spans * span + copies * n, (n, s, i)
+                assert (copies == 2) == (1 <= i <= q), (n, s, i)
+                if spans == 1:
+                    single.append((n, s))
+        assert sorted(set(single)) == [(1, 1), (2, 2)]
 
     @pytest.mark.parametrize("n,s", [(64, 1), (83, 2), (84, 2), (256, 2), (300, 4)])
     def test_consecutive_groups_build_on_disjoint_p_rows(self, n, s, monkeypatch):
         stack_layers = synth_ancilla._stack_layers
-        built = {}  # first machinery wire -> (machinery size, P rows per group)
+        built = {}  # first machinery wire -> (region, machinery size, rows per group)
 
         def record(vals, colour, widths, ctrl, tgt, mach, with_undo=True, parity=0):
             out = stack_layers(vals, colour, widths, ctrl, tgt, mach, with_undo, parity)
             nb = sum(len(_p_template(kb)) for kb in dict.fromkeys(widths.tolist()))
-            rows = set(np.concatenate([a[:, 1] for a in out[:nb]]).tolist())
-            assert rows <= set(mach.tolist())
-            built.setdefault(int(mach[0]), (mach.size, []))[1].append(rows)
+            p_rows = set(np.concatenate([a[:, 1] for a in out[:nb]]).tolist())
+            written = set(np.concatenate([a[:, 1] for a in out]).tolist())
+            machinery = set(mach.tolist())
+            assert p_rows <= machinery
+            region = machinery | (set() if with_undo else set(tgt.tolist()))
+            rows = built.setdefault(int(mach[0]), (region, mach.size, []))[2]
+            rows.append((p_rows, (written & machinery) - p_rows))
             return out
 
         monkeypatch.setattr(synth_ancilla, "_stack_layers", record)
         dense = np.random.default_rng(n).integers(0, 2, (n, n)).astype(np.uint8)
         _embed_layers(dense, s, 0, n)
-        checked = {True: 0, False: 0}
-        for size, groups in built.values():
-            alternates = 2 * _p_span(n) + n <= size
-            for a, b in zip(groups, groups[1:]):
-                # one P region: the next group rebuilds on the same rows
-                assert (a.isdisjoint(b)) == alternates, (n, s, size)
-                checked[alternates] += 1
-        assert checked[True] > 0
-        # only the partial stacks at n = 64..83 keep one region here
-        assert bool(checked[False]) == (n == 83)
+        assert len(built) == s
+        regions = [region for region, _, _ in built.values()]
+        assert len(set().union(*regions)) == sum(map(len, regions))
+        assert set().union(*regions) <= set(range(2 * n, (3 * s + 2) * n))
+        span = _p_span(n)
+        doubled = 0
+        for _, size, groups in built.values():
+            # every stack alternates its P rows here, the n = 83 partial
+            # stack included (it kept one region while it had 2n wires)
+            assert 2 * span + n <= size, (n, s, size)
+            copies_alternate = 2 * span + 2 * n <= size
+            doubled += copies_alternate
+            assert len(groups) > 1
+            for (p_a, c_a), (p_b, c_b) in zip(groups, groups[1:]):
+                assert p_a.isdisjoint(p_b), (n, s, size)
+                assert c_a and c_b
+                assert c_a.isdisjoint(c_b) == copies_alternate, (n, s, size)
+        # one partial stack doubles its copy rows where spare room holds n:
+        # not at n = 83, s = 2 (81 wires spare), at n = 84, s = 2 (84)
+        assert doubled == ((n, s) in {(84, 2), (256, 2), (300, 4)})
 
     @pytest.mark.parametrize("n", [15, 16, 23, 24, 63, 64, 83, 84, 85])
     def test_verifies_at_every_scale_around_the_single_region_ranges(self, n):
@@ -503,3 +536,20 @@ def test_depth_below_parent(s, n, seed):
     c = synth_with_ancillae(m, s, seed=seed)
     assert verify_implements(c, m).ok
     assert c.depth <= 0.85 * PARENT_DEPTHS[s][n, seed]
+
+
+# synth_with_ancillae(random_gl(n, seed), s, seed=seed).depth when every
+# stack owned 3n work wires and a partial stack made every group's copies
+# on the same rows, so a group could copy only once the previous one had
+# reversed its pastes and copies; s = 1 keeps its circuits byte for byte
+PARENT_S2_DEPTHS = {(256, 0): 253, (256, 1): 251, (256, 2): 255, (512, 100): 523, (1024, 1): 797}
+S1_DEPTHS = {(256, 0): 257, (256, 1): 256, (256, 2): 256, (512, 100): 555, (1024, 1): 853}
+
+
+@pytest.mark.parametrize("n,seed", sorted(PARENT_S2_DEPTHS))
+def test_s2_depth_below_parent(n, seed):
+    m = random_gl(n, seed)
+    c1, c2 = (synth_with_ancillae(m, s, seed=seed) for s in (1, 2))
+    assert verify_implements(c2, m).ok
+    assert c2.depth <= 0.93 * PARENT_S2_DEPTHS[n, seed]
+    assert c1.depth == S1_DEPTHS[n, seed]
