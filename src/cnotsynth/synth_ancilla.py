@@ -7,33 +7,36 @@ embeddings and a block swap:
     |0, Mx, 0>  --swap data/mirror-->  |Mx, 0, 0>.
 
 One embedding writes M's columns into its target rows group by group.  A
-group of s*2k^2 columns is handled by s stacks of the four-Russians
-construction on disjoint wires: each stack builds, for every k-bit column
-slice, the block of all nonzero sums of its control rows (a "P block",
-built by one doubling subset-sum tree, _p_template), copies the popular
-sums a few times, and adds one copy per slice into every target row.  The
-pastes of the whole embedding are coloured once (_paste_colours): each
-(slice, value) source's pastes are cut into runs of 2k, and a greedy gives
-every paste a colour free at its target and in its run, so at most 4k-1
-colours are used and no stack makes more than n copies; _paste_layers
-turns the colours into a stack's copy and paste layers.  Stack 0 adds
+group of columns is handled by s stacks of the four-Russians construction
+on disjoint wires: each stack builds, for every k-bit column slice, the
+block of all nonzero sums of its control rows (a "P block", built by one
+doubling subset-sum tree, _p_template), copies the popular sums a few
+times, and adds one copy per slice into every target row.  Stack 0 adds
 straight into the target rows and undoes its machinery; stacks 1..s-1 add
 into partial blocks, which a fan-in adds into the target rows before their
 builds are reversed.  Pollution survives only in columns the ancilla
 contract leaves unconstrained.
 
+The work wires are laid out once per (n, s) (_layout): each stack has a
+width w in slices, a run length r, two P spans of w(2^k - 1) wires and
+ceil(w*n/r) copy rows (twice that for a partial stack), a partial stack
+its n-row partial block too, and no stack more than 3n wires.  Stack 0
+keeps runs of 2k and spends its idle wires on width; the partial stacks,
+which paste twice, are narrower with shorter runs.  The pastes of the
+whole embedding are coloured once (_paste_colours): each (slice, value)
+source's pastes are cut into runs of its stack's r, and a greedy gives
+every paste a colour free at its target and in its run, so a stack uses
+at most w+r-1 colours and ceil(w*n/r) copy rows; _paste_layers turns the
+colours into a stack's copy and paste layers.
+
 Every fragment is emitted as one gate sequence, stack after stack and
 group after group, and levelled once as soon as possible
 (circuit.levelled_circuit): stacks on disjoint wires run side by side.
-The 3sn work wires are carved by need (_stack_sizes): every stack gets
-two P spans and n copy rows (one span only at (n, s) = (1, 1) and
-(2, 2)), a partial stack its partial block too, and the partial stacks
-take n more copy rows each, in stack order, while they fit.  Consecutive
-groups are double-buffered: even groups build their P rows in the first
-span and odd groups in the second, so a group's P build runs beside the
-previous group's pastes and undo; a partial stack with the extra copy
-rows also makes each group's copies in the n rows of its parity, so a
-group's copy fan-out runs beside the previous group's reversal.  The
+Consecutive groups are double-buffered: even groups build their P rows in
+the first span and odd groups in the second, so a group's P build runs
+beside the previous group's pastes and undo, and a group whose copies fit
+in half of its stack's copy rows makes them in the half of its parity, so
+its copy fan-out runs beside the previous group's undo or reversal.  The
 gates are the same either way; only their wires and levels move.
 """
 
@@ -53,8 +56,9 @@ from .synth_free import _split_by, permutation_layers
 
 # ----------------------------------------------------------------------
 # layout: n data wires, an n-wire mirror block and a 3sn-wire work block;
-# stack i of a column group owns the _stack_sizes(n, s)[i] work wires that
-# follow those of stacks 0..i-1, the first from 2n
+# stack i of a column group owns the work wires of _layout(n, s)[i] (its
+# partial block, two P spans and its copy rows) that follow those of stacks
+# 0..i-1, the first from 2n
 # ----------------------------------------------------------------------
 
 
@@ -89,14 +93,16 @@ def _doubling_rounds(roots: np.ndarray, counts: np.ndarray, dests: np.ndarray) -
     return _split_by(rnd, np.stack([src, dests], axis=1), int(rnd.max()) + 1)
 
 
-def _paste_layers(source, colour, tgt, roots, spare) -> tuple:
+def _paste_layers(source, colour, tgt, roots, spare, parity=0) -> tuple:
     """Copy-and-paste schedule of one stack: paste i adds wire
     roots[source[i]], the P row of its (slice, value) source, into wire
     tgt[i] in the layer of colour[i].  Within a (source, colour) class
     the paste of rank r, in the order given, reads copy r of its source,
     copy 0 being the root; so a source gets as many extra copies as its
     largest class, less one, which sit contiguously per source, in source
-    order, at the front of ``spare``, which must hold them.  Returns
+    order, in the copy rows ``spare``, which must hold them: in its half
+    of index ``parity`` where they fit in half of it, so that consecutive
+    groups copy on disjoint rows, and from its front otherwise.  Returns
     (build, paste, extra): the copy fan-out layers, one paste array per
     colour present in colour order, and the extra copies per source."""
     ncol = int(colour.max(initial=-1)) + 1
@@ -108,7 +114,8 @@ def _paste_layers(source, colour, tgt, roots, spare) -> tuple:
     rank[order] = idx - np.maximum.accumulate(np.where(new_run, idx, 0))
     extra = np.zeros(roots.size, dtype=np.int64)
     np.maximum.at(extra, source, rank)
-    copies = spare[: int(extra.sum())]
+    total, half = int(extra.sum()), spare.size // 2
+    copies = spare[parity * half * (total <= half) :][:total]
     src = roots[source]
     from_copy = rank > 0
     src[from_copy] = copies[(np.cumsum(extra) - extra)[source[from_copy]] + rank[from_copy] - 1]
@@ -132,43 +139,50 @@ def _slice_values(dense, k: int) -> tuple:
     return widths, np.add.reduceat(bits, offs, axis=0, dtype=np.uint16)
 
 
-def _paste_colours(vals, g: int) -> np.ndarray:
+def _paste_colours(vals, ws, rs) -> np.ndarray:
     """Paste colour of every nonzero entry of ``vals`` (slices x targets),
-    -1 elsewhere, for stacks of g consecutive slices.
+    -1 elsewhere, for consecutive stacks of ws[i] slices whose pastes run
+    rs[i] long (the last stack may be cut short).
 
     A source is a (slice, value) pair; its pastes are cut, in target order,
-    into runs of g.  Round (j, p) colours the pastes of slice j of every
-    stack that sit at position p of their run, each with the least colour
-    free both at its target in its stack and in its run; no two pastes of a
-    round share either, so the round is one gather and one scatter.  A
-    paste sees at most g-1 colours at its target and g-1 in its run, so
-    the colours stay below 2g-1.  A (source, colour) class holds at most
-    one paste per run, so a source of degree d needs at most ceil(d/g)-1
-    copies, and a stack's pastes, at most g per target, need at most one
-    copy per target in all.
+    into runs of its stack's r.  Round (j, p) colours the pastes of slice j
+    of every stack that sit at position p of their run, each with the least
+    colour free both at its target in its stack and in its run; no two
+    pastes of a round share either, so the round is one gather and one
+    scatter, and there are max(w) * max(r) rounds.  A paste sees at most
+    w-1 colours at its target and r-1 in its run, so a stack uses at most
+    w+r-1 colours (w + r <= 64 keeps them in the int64 masks).  A
+    (source, colour) class holds at most one paste per run, so a source of
+    degree d needs at most ceil(d/r)-1 copies, and a stack's pastes, at
+    most w per target, at most ceil(w*n/r) copies in all.
     """
     nsl, n_t = vals.shape
+    ws, rs = np.asarray(ws, dtype=np.int64), np.asarray(rs, dtype=np.int64)
+    stack = np.repeat(np.arange(ws.size), ws)[:nsl]
+    j = np.arange(nsl) - (np.cumsum(ws) - ws)[stack]
+    r = rs[stack][:, None]
+    nj, nr = int(ws.max()), int(rs.max())
     order = np.argsort(vals, axis=1, kind="stable")
     v = np.take_along_axis(vals, order, axis=1)
     idx = np.arange(n_t)
     first = np.maximum.accumulate(np.where(np.diff(v, axis=1, prepend=0) > 0, idx, 0), axis=1)
-    pos = (idx - first) % g
-    # round of each entry in the sorted layout; zero entries go to round g*g,
-    # which is not run
-    key = np.where(v > 0, (np.arange(nsl) % g * g)[:, None] + pos, g * g).ravel()
-    by_round = _stable_order(key, g * g + 1)
-    at = ((np.arange(nsl) // g * n_t)[:, None] + order).ravel()[by_round]
+    pos = (idx - first) % r
+    # round of each entry in the sorted layout; zero entries go to round
+    # nj*nr, which is not run
+    key = np.where(v > 0, (j * nr)[:, None] + pos, nj * nr).ravel()
+    by_round = _stable_order(key, nj * nr + 1)
+    at = ((stack * n_t)[:, None] + order).ravel()[by_round]
     run = (np.arange(key.size) - pos.ravel())[by_round]
-    at_mask = np.zeros(-(-nsl // g) * n_t, dtype=np.int64)
+    at_mask = np.zeros((int(stack[-1]) + 1) * n_t, dtype=np.int64)
     run_mask = np.zeros(key.size, dtype=np.int64)
     free = np.zeros(key.size, dtype=np.int64)
-    bounds = np.r_[0, np.cumsum(np.bincount(key, minlength=g * g + 1))]
-    for lo, hi in zip(bounds[: g * g], bounds[1 : g * g + 1]):
-        a, r = at[lo:hi], run[lo:hi]
-        used_a, used_r = at_mask[a], run_mask[r]
+    bounds = np.r_[0, np.cumsum(np.bincount(key, minlength=nj * nr + 1))]
+    for lo, hi in zip(bounds[: nj * nr], bounds[1 : nj * nr + 1]):
+        a, rr = at[lo:hi], run[lo:hi]
+        used_a, used_r = at_mask[a], run_mask[rr]
         f = ~(used_a | used_r) & ((used_a | used_r) + 1)
         at_mask[a] = used_a | f
-        run_mask[r] = used_r | f
+        run_mask[rr] = used_r | f
         free[lo:hi] = f
     sorted_colour = np.empty(key.size, dtype=np.int64)
     sorted_colour[by_round] = np.frexp(free)[1] - 1  # -1 where free is 0
@@ -182,27 +196,22 @@ def _paste_colours(vals, g: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _stack_layers(vals, colour, widths, ctrl_wires, tgt_wires, mach, with_undo=True, parity=0):
+def _stack_layers(vals, colour, widths, ctrl_wires, tgt_wires, p_rows, copy_rows,
+                  with_undo=True, parity=0):
     """Layers writing a stack's slices (``vals`` and their paste colours,
     slices x targets, slice g reading the next widths[g] control wires)
     into the target rows; machinery is restored when ``with_undo`` (a
     caller reversing the whole stack skips it).
 
-    Machinery holds, per slice, its 2^kb - 1 P rows, then the copy rows of
-    _paste_layers, contiguous per (slice, value).  The P rows take at most
-    one P span (_p_span) and the copies at most n wires.  Where two spans
-    and n copies fit the machinery, it holds two P regions of one span
-    each, the stack's P rows in region ``parity`` (its group's parity), and
-    the copy rows after both: consecutive groups then build their P blocks
-    on disjoint wires, and the levelling runs one group's build beside the
-    previous group's pastes and undo.  Where two spans and 2n copies fit,
-    the copies of parity p start p*n wires past both regions, so
-    consecutive groups copy on disjoint wires too.  Elsewhere the copy rows
-    follow the P rows; 2n machinery wires always suffice for that.
+    The P rows, 2^kb - 1 per slice, fill ``p_rows`` from its front; the
+    copies of _paste_layers go to ``copy_rows``, in its half of index
+    ``parity`` (the group's parity) where they fit in half of it, so that
+    consecutive groups copy on disjoint rows.
     """
     ctrl = np.asarray(ctrl_wires, dtype=np.int64)
     tgt = np.asarray(tgt_wires, dtype=np.int64)
-    mach = np.asarray(mach, dtype=np.int64)
+    p_rows = np.asarray(p_rows, dtype=np.int64)
+    copy_rows = np.asarray(copy_rows, dtype=np.int64)
     widths = np.asarray(widths, dtype=np.int64)
     offs = np.cumsum(widths) - widths
     nv = 1 << int(widths.max())
@@ -210,21 +219,13 @@ def _stack_layers(vals, colour, widths, ctrl_wires, tgt_wires, mach, with_undo=T
     # step 1: P blocks of all nonzero kb-bit sums, one template layer for
     # all slices of a width at a time
     block_len = (1 << widths) - 1
-    n = tgt.size
-    span = _p_span(n)
-    if 2 * span + n <= mach.size:
-        p_base, spare = parity * span, mach[2 * span :]
-        if 2 * span + 2 * n <= mach.size:
-            spare = spare[parity * n :]
-    else:
-        p_base, spare = 0, mach[int(block_len.sum()) :]
-    p_off = p_base + np.cumsum(block_len) - block_len
+    p_off = np.cumsum(block_len) - block_len
     step1: list = []
     for kb in dict.fromkeys(widths.tolist()):
         gs = np.flatnonzero(widths == kb)
         wire_map = np.concatenate(
             [ctrl[offs[gs, None] + np.arange(kb)],
-             mach[p_off[gs, None] + np.arange((1 << kb) - 1)]],
+             p_rows[p_off[gs, None] + np.arange((1 << kb) - 1)]],
             axis=1,
         )
         step1.extend(wire_map[:, arr].reshape(-1, 2) for arr in _p_template(kb))
@@ -237,7 +238,7 @@ def _stack_layers(vals, colour, widths, ctrl_wires, tgt_wires, mach, with_undo=T
     cells = np.flatnonzero(present)
     step2, step3, _ = _paste_layers(
         (np.cumsum(present) - 1)[cell], colour[gg, rows], tgt[rows],
-        mach[p_off[cells // nv] + cells % nv - 1], spare,
+        p_rows[p_off[cells // nv] + cells % nv - 1], copy_rows, parity,
     )
 
     if not with_undo:
@@ -246,36 +247,68 @@ def _stack_layers(vals, colour, widths, ctrl_wires, tgt_wires, mach, with_undo=T
 
 
 def _pick_k(n: int) -> int:
-    """Slice width: floor(log2(n) / 2), lowered until a stack's 2k slices of
-    2^k - 1 P rows each fit in n wires, 2k(2^k - 1) <= n (at k = 1 they
-    always do: a stack of one or two 1-bit slices)."""
+    """Slice width: floor(log2(n) / 2), lowered until the narrowest stack,
+    2k slices of 2^k - 1 P rows each, takes two P spans and n copy rows
+    within its 3n work wires, 2k(2^k - 1) <= n (at k = 1 it always does: a
+    stack of one or two 1-bit slices)."""
     k = max(1, (max(n, 2).bit_length() - 1) // 2)
     while k > 1 and 2 * k * ((1 << k) - 1) > n:
         k -= 1
     return k
 
 
-def _p_span(n: int) -> int:
-    """Machinery wires that the P rows of one stack of n targets can take,
-    2k(2^k - 1) at k = _pick_k(n): at most n for n >= 2."""
+def _copy_rows(w: int, r: int, n: int) -> int:
+    """Copy rows that a stack of w slices, pastes in runs of r, can need:
+    ceil(w*n/r) (_paste_colours)."""
+    return -(-w * n // r)
+
+
+def _partial_runs(w: int, n: int) -> int:
+    """Shortest runs, w + r <= 64, for which a partial stack of w slices
+    fits its two P spans and twice its copy rows in its 2n machinery
+    wires (None if none do)."""
+    pk = (1 << _pick_k(n)) - 1
+    return next((r for r in range(1, 65 - w) if w * pk + _copy_rows(w, r, n) <= n), None)
+
+
+def _layout(n: int, s: int) -> list:
+    """(w, r, c) per stack of a column group, in stack order: w slices, the
+    pastes of each (slice, value) cut into runs of r, and c copy rows.
+    Stack i owns the work wires after those of stacks 0..i-1, from 2n: its
+    n-row partial block (stacks 1..s-1 only), two P spans of w(2^k - 1)
+    wires and its c copy rows; each stack stays within 3n wires, so all
+    within the 3sn work wires, and w + r <= 64.
+
+    Stack 0 keeps runs of 2k, so no more copies than a 2k-slice stack, and
+    spends its 3n wires on width: the widest stack of at least 2k slices
+    whose spans and ceil(w*n/r) copy rows fit.  A partial stack pastes
+    twice, into its block and back out, so it is narrower, 3/8 of stack 0,
+    with the shortest runs for which twice its copy rows fit; a group's
+    copies always fit in half of them, so consecutive groups copy on
+    disjoint rows.  Where that leaves the partial stacks two or three
+    groups to carry (the slices past each group's stack 0), they widen to
+    the least width that carries one group fewer: a last group that stack
+    0 covers alone costs little, a group with partial stacks a fan-in and
+    a reversal.
+    """
     k = _pick_k(n)
-    return 2 * k * ((1 << k) - 1)
-
-
-def _stack_sizes(n: int, s: int) -> list:
-    """Work wires of each stack of a column group, in stack order, carved
-    from the 3sn work wires by need: stack 0 holds machinery only, a
-    partial stack its n-row partial block and then its machinery.  Each
-    stack starts from one P span and n copy rows; then every stack takes a
-    second P span, and the partial stacks n more copy rows, in stack order
-    while the total fits.  Two spans fit everywhere but (n, s) in
-    {(1, 1), (2, 2)}.  Stack 0 never takes the second copy rows: alternating
-    its copies would make s = 1 shallower than s = 2 (n = 256)."""
-    span = _p_span(n)
-    room = s * (n - span) + n  # 3sn less one span, n copies and the partials
-    two = min(s, room // span)  # stacks 0..two-1 take a second span
-    more = min(s - 1, (room - two * span) // n)  # stacks 1..more copy twice
-    return [(1 + (i < two)) * span + (1 + (i > 0) + (0 < i <= more)) * n for i in range(s)]
+    pk = (1 << k) - 1
+    nsl = -(-n // k)
+    g = min(2 * k, nsl)
+    w0 = max(w for w in range(g, 65 - g) if 2 * w * pk + _copy_rows(w, g, n) <= 3 * n)
+    w0 = min(w0, nsl)
+    stacks = [(w0, g, _copy_rows(w0, g, n))]
+    if s > 1:
+        wp, rest = max(1, 3 * w0 // 8), nsl - w0
+        groups = -(-rest // (w0 + (s - 1) * wp))
+        if 2 <= groups <= 3:
+            per_group = -(-rest // (groups - 1))  # slices, one group fewer
+            wide = -(-(per_group - w0) // (s - 1))
+            if wide <= w0 and _partial_runs(wide, n):
+                wp = wide
+        rp = _partial_runs(wp, n)
+        stacks += [(wp, rp, 2 * _copy_rows(wp, rp, n))] * (s - 1)
+    return stacks
 
 
 @lru_cache(maxsize=None)
@@ -317,58 +350,69 @@ def _fanin_layers(partial_bases: list, tgt_base: int, n_t: int) -> list:
     return _fold_layers([base + rows for base in partial_bases], tgt_base + rows)
 
 
-def _group_layers(vals, colour, widths, k, ctrl_base, tgt_base, sizes, parity=0):
-    """One group of at most s stacks of 2k slices (``vals`` and their paste
-    colours, slices x n targets, read from the control wires from
-    ``ctrl_base``) on the work regions of ``sizes`` (_stack_sizes), laid
-    one after another from wire 2n: stack 0 takes its whole region as
-    machinery, pastes straight into the target rows and undoes its
-    machinery; stacks 1..s-1 paste into partial blocks, the first n wires
-    of their regions, fanned in before their builds reverse.  Each stack
-    builds its P rows, and makes its copies, in the region of ``parity``
-    (the group's parity within its embedding) where its machinery holds
-    two (_stack_layers)."""
+def _group_layers(vals, colour, widths, k, ctrl_base, tgt_base, stacks, parity=0):
+    """One group of at most s stacks (``vals`` and their paste colours,
+    slices x n targets, read from the control wires from ``ctrl_base``)
+    on the work regions of ``stacks`` (_layout), laid one after another
+    from wire 2n: stack 0 takes its whole region as machinery, pastes
+    straight into the target rows and undoes its machinery; stacks 1..s-1
+    paste into partial blocks, the first n wires of their regions, fanned
+    in before their builds reverse.  Each stack builds its P rows in the
+    P span of ``parity`` (the group's parity within its embedding), and
+    makes its copies in the half of its copy rows of that parity where
+    they fit (_stack_layers)."""
     n = vals.shape[1]
-    starts = 2 * n + np.cumsum(sizes) - sizes
+    pk = (1 << k) - 1
     direct, build, partials = [], [], []
-    for i, g0 in enumerate(range(0, len(widths), 2 * k)):
-        g1 = g0 + 2 * k
-        region = np.arange(starts[i], starts[i] + sizes[i])
+    start, g0 = 2 * n, 0
+    for i, (w, _, c) in enumerate(stacks):
+        if g0 >= len(widths):
+            break
+        g1 = g0 + w
         if i == 0:
-            tgts, mach = np.arange(tgt_base, tgt_base + n), region
+            tgts = np.arange(tgt_base, tgt_base + n)
         else:
-            tgts, mach = region[:n], region[n:]
-            partials.append(int(starts[i]))
+            tgts = np.arange(start, start + n)
+            partials.append(start)
+            start += n
+        span = w * pk
         c0 = ctrl_base + k * g0
         sub = _stack_layers(
             vals[g0:g1], colour[g0:g1], widths[g0:g1],
-            np.arange(c0, c0 + int(widths[g0:g1].sum())), tgts, mach, with_undo=i == 0,
-            parity=parity,
+            np.arange(c0, c0 + int(widths[g0:g1].sum())), tgts,
+            np.arange(start + parity * span, start + (parity + 1) * span),
+            np.arange(start + 2 * span, start + 2 * span + c),
+            with_undo=i == 0, parity=parity,
         )
         (build if i else direct).extend(sub)
+        start += 2 * span + c
+        g0 = g1
     return direct + build + _fanin_layers(partials, tgt_base, n) + list(reversed(build))
 
 
 def _embed_layers(m_dense, s: int, ctrl_base: int, tgt_base: int) -> list:
     """Layers adding the n x n matrix M (columns read from ctrl wires) into
     the target rows, work region restored; the pastes of every stack are
-    coloured together.  The work region is carved once (_stack_sizes) and
-    every group uses the same stacks.  Column groups of s*2k^2 are emitted
-    one after another, group gi building its P rows (and, in a partial
-    stack with room for two sets, making its copies) in region gi % 2, so
-    that one group's build overlaps the previous group's pastes and undo
-    once levelled."""
-    k = _pick_k(m_dense.shape[0])
+    coloured together, each stack with its own width and runs.  The work
+    region is laid out once (_layout) and every group uses the same
+    stacks.  Column groups are emitted one after another, group gi
+    building its P rows (and, where they fit in half, making its copies)
+    in region gi % 2 of each stack, so that one group's build and copy
+    fan-out overlap the previous group's pastes and undo once levelled."""
+    n = m_dense.shape[0]
+    k = _pick_k(n)
     widths, vals = _slice_values(m_dense, k)
-    colour = _paste_colours(vals, 2 * k)
-    sizes = _stack_sizes(m_dense.shape[0], s)
-    per_group = s * 2 * k  # slices
+    stacks = _layout(n, s)
+    per_group = sum(w for w, _, _ in stacks)  # slices
+    groups = -(-len(widths) // per_group)
+    colour = _paste_colours(vals, [w for w, _, _ in stacks] * groups,
+                            [r for _, r, _ in stacks] * groups)
     layers = []
     for gi, g0 in enumerate(range(0, len(widths), per_group)):
         g1 = g0 + per_group
         layers.extend(
             _group_layers(vals[g0:g1], colour[g0:g1], widths[g0:g1], k,
-                          ctrl_base + k * g0, tgt_base, sizes, parity=gi % 2)
+                          ctrl_base + k * g0, tgt_base, stacks, parity=gi % 2)
         )
     return layers
 

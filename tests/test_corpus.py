@@ -55,7 +55,12 @@ METHODS = {
 # wires and fewer layers.  ancilla_s2 alone was re-pinned when the work
 # region began to be carved by need (_stack_sizes) and a partial stack with
 # room to spare began alternating its copy rows: the same gates in other
-# wires and fewer layers; s = 1 keeps every byte.  Recipe for a re-pin:
+# wires and fewer layers; s = 1 keeps every byte.  Both ancilla digests
+# were re-pinned again when the work region began to be laid out per
+# (n, s) (_layout): a wider stack 0 whose runs stay 2k, narrower partial
+# stacks with shorter runs and more copy rows, and copies alternating by
+# group parity wherever they fit in half their rows: other gates (copies)
+# and fewer layers, the same matrices.  Recipe for a re-pin:
 # with the new source, run
 # ``PYTHONPATH=src python -m pytest -q tests/test_corpus.py`` and copy each
 # changed method's new hex digest from the failing assertion's "!=" lines
@@ -64,8 +69,8 @@ METHODS = {
 CORPUS_SHA256 = {
     "simple": "cf99b441326976c8172dc5aa5d622e7f938d8928d7cf53aeefab3ff309decf1f",
     "dnc": "b3db0b6c445acd92a7c01f1e586a462422334e84bcaccca6aecfedb974aefdb0",
-    "ancilla_s1": "663407ee716e8e65f6fb04ce6035b7c6bbc9c1b6c93f4eddbcc9be0b9ddcf43f",
-    "ancilla_s2": "85ac43204bf6c73363dc7fa9fbf36c2fc0979bf7d038555536e4ba1f0e42b0a3",
+    "ancilla_s1": "9c91a7fdd3a897b162ee190676fc5ede1cb0369b9323be0dd344102097146a90",
+    "ancilla_s2": "217f4ab036f37046092da95359f78398068fb9f97e0d47edcab200dc5bcc13b5",
 }
 
 
@@ -109,13 +114,14 @@ STRUCTURED = {
 # the dnc base case and its first splits.  Each covers the matrix text and
 # that method's circuit text, as CORPUS_SHA256 does.  dnc was re-pinned
 # with the layby threshold, and both ancilla digests with the runs-of-2k
-# paste colours, the subset-sum P blocks and the alternating P regions, and
-# ancilla_s2 alone with the carved work region, the same way as there.
+# paste colours, the subset-sum P blocks and the alternating P regions,
+# ancilla_s2 alone with the carved work region, and both ancilla digests
+# with the per-(n, s) stack layout, the same way as there.
 STRUCTURED_SHA256 = {
     "simple": "df7a6ffd66b20a9c9d727366ee3ec8d00f702148d3def802fae891e47e9a8481",
     "dnc": "26932af9c1fed0f35d4819f46722460a77c1ae62bdb5079f82a1e71125c41c0d",
-    "ancilla_s1": "d7f02e120c064bf65926496ee6515347528fd10e25c13017648eef35e5414c47",
-    "ancilla_s2": "04cfdd4badbfadfaf058637bb327c1f856a3e103554fb973456eef64811af336",
+    "ancilla_s1": "7e44beb676445d532df7f49a35d416bc961b0b4f7b302863335080b0f31d3498",
+    "ancilla_s2": "1fc986cdd6db943b6318d47b4e16bebd15bde8bcc9ae76df78dc7f1e38b1b12e",
 }
 
 

@@ -270,14 +270,14 @@ def structured_gl(kind, n):
 
 def ycol_circuit(m, n):
     """One ancilla column stack (_stack_layers) writing m's first columns,
-    at most the 2k^2 of a stack, into rows n..2n-1, with rows 2n..4n-1 as
-    machinery."""
+    at most the 2k^2 of a stack, into rows n..2n-1, with rows 2n..3n-1 for
+    its P rows and 3n..4n-1 for its copies (runs of 2k need at most n)."""
     k = _pick_k(n)
     w = min(n, 18, 2 * k * k)
     widths, vals = _slice_values(m.to_dense()[:, :w], k)
     layers = _stack_layers(
-        vals, _paste_colours(vals, 2 * k), widths, list(range(w)),
-        list(range(n, 2 * n)), list(range(2 * n, 4 * n)),
+        vals, _paste_colours(vals, [len(widths)], [2 * k]), widths, list(range(w)),
+        list(range(n, 2 * n)), list(range(2 * n, 3 * n)), list(range(3 * n, 4 * n)),
     )
     return circuit_of(layers, 4 * n)
 

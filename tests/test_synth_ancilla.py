@@ -17,16 +17,16 @@ from cnotsynth import (
 from cnotsynth import synth_ancilla
 from cnotsynth.circuit import Circuit, Layer, levelled_circuit
 from cnotsynth.synth_ancilla import (
+    _copy_rows,
     _doubling_rounds,
     _embed_layers,
     _group_layers,
-    _p_span,
+    _layout,
     _p_template,
     _paste_colours,
     _pick_k,
     _slice_values,
     _stack_layers,
-    _stack_sizes,
 )
 
 # The fragment tests below run the private builders that synth_with_ancillae
@@ -49,20 +49,26 @@ def block(sim, rows, cols):
 
 def stack_circuit(y, ctrl, tgt, mach, n):
     """One stack writing y (at most 2k^2 columns) into the target rows, its
-    slices as wide as _pick_k allows, as a column group runs it."""
+    slices as wide as _pick_k allows and its pastes in runs of 2k, with the
+    first n machinery wires for P rows and the next n for copies (2k
+    slices of 2^k - 1 P rows fit n wires, and ceil(2k*n/2k) = n)."""
     k = _pick_k(n)
     widths, vals = _slice_values(y.to_dense(), k)
-    layers = _stack_layers(vals, _paste_colours(vals, 2 * k), widths, ctrl, tgt, mach)
+    colour = _paste_colours(vals, [len(widths)], [2 * k])
+    layers = _stack_layers(vals, colour, widths, ctrl, tgt, mach[:n], mach[n : 2 * n])
     return levelled(layers, 1 + max(*ctrl, *tgt, *mach))
 
 
 def group_circuit(y, s):
-    """One column group of y's columns, read from the first data wires and
-    written into the mirror rows, on (3s+2)n wires."""
+    """One column group of y's columns (at most k times the group's slices,
+    the widths of its stacks), read from the first data wires and written
+    into the mirror rows, on (3s+2)n wires."""
     n = y.rows
     k = _pick_k(n)
+    stacks = _layout(n, s)
     widths, vals = _slice_values(y.to_dense(), k)
-    layers = _group_layers(vals, _paste_colours(vals, 2 * k), widths, k, 0, n, _stack_sizes(n, s))
+    colour = _paste_colours(vals, [w for w, _, _ in stacks], [r for _, r, _ in stacks])
+    layers = _group_layers(vals, colour, widths, k, 0, n, stacks)
     return levelled(layers, (3 * s + 2) * n)
 
 
@@ -122,8 +128,8 @@ def stack_schedules(monkeypatch):
     paste_layers = synth_ancilla._paste_layers
     got = []
 
-    def record(source, colour, tgt, roots, spare):
-        out = paste_layers(source, colour, tgt, roots, spare)
+    def record(source, colour, tgt, roots, spare, parity=0):
+        out = paste_layers(source, colour, tgt, roots, spare, parity)
         got.append((np.bincount(source, minlength=roots.size), out[2], len(spare)))
         return out
 
@@ -154,70 +160,68 @@ class TestPTemplate:
         assert simulate_to_matrix(undo) == F2Matrix.identity(c.wires)
 
     def test_stack_p_rows_fit_n_wires(self):
-        # a stack's at most 2k slices, full ones first, hold 2^w - 1 P rows
-        # per slice of width w; _pick_k keeps them within n wires, and
-        # within one P span
+        # the narrowest stack's at most 2k slices, full ones first, hold
+        # 2^w - 1 P rows per slice of width w; _pick_k keeps them within n
+        # wires, and within a span of 2k(2^k - 1)
         for n in range(1, 1 << 16):
             k = _pick_k(n)
             full, rem = divmod(n, k)
             widths = ([k] * full + [rem] * (rem > 0))[: 2 * k]
-            assert sum((1 << w) - 1 for w in widths) <= min(n, _p_span(n)), n
+            assert sum((1 << w) - 1 for w in widths) <= min(n, 2 * k * ((1 << k) - 1)), n
 
 
 class TestPRegions:
-    """The work region carved by need (_stack_sizes) and its double buffers:
-    a stack whose machinery holds two P spans and n copy rows builds each
-    group's P rows in the span of the group's parity, and a partial stack
-    whose machinery holds two spans and 2n copy rows also makes each
-    group's copies in the n rows of that parity, so consecutive groups
-    build and copy on disjoint wires."""
+    """The work region laid out per (n, s) (_layout) and its double
+    buffers: stack i owns, after stacks 0..i-1, its partial block (i > 0),
+    two P spans of w(2^k - 1) wires and its copy rows; each group builds
+    its P rows in the span of the group's parity, and makes its copies in
+    the half of the copy rows of that parity where they fit in half."""
 
     SCALES = [(n, s) for n in range(1, 4097) for s in range(1, max_scale(n) + 1)] + [
         (n, s) for n in (8192, 65535) for s in sorted({1, 2, max_scale(n)})
     ]
 
-    def test_two_spans_and_copies_fit_where_a_stack_alternates(self):
-        # a stack's P rows fill at most one span
-        # (TestPTemplate::test_stack_p_rows_fit_n_wires), at most n wires
-        for n in range(1, 1 << 16):
-            k = _pick_k(n)
-            assert _p_span(n) == 2 * k * ((1 << k) - 1) <= max(n, 2), n
-        # stack i owns the wires from 2n + sizes[:i].sum(): contiguous, so
-        # disjoint, and inside the (3s+1)n ancillae when sizes.sum() <= 3sn.
-        # A partial stack's first n wires are its partial block; the rest,
-        # its machinery, is one or two P spans and one or two sets of n copy
-        # rows, as the inequalities of _stack_layers read it
-        single = []
+    def test_regions_hold_their_spans_and_copy_rows(self):
+        # regions laid one after another from wire 2n are disjoint; each
+        # holds its partial block, two spans and at least ceil(w*n/r) copy
+        # rows (the bound _paste_colours proves), at most 3n wires, so all
+        # lie inside the (3s+1)n ancillae; w + r <= 64 keeps the colours in
+        # the int64 masks, and stack 0 is at least 2k slices wide (or all
+        # of them) with runs of 2k
         for n, s in self.SCALES:
-            span, sizes = _p_span(n), _stack_sizes(n, s)
-            assert len(sizes) == s and sum(sizes) <= 3 * s * n, (n, s)
-            spare = 3 * s * n - (2 * s * span + (2 * s - 1) * n)
-            q = min(s - 1, spare // n)
-            for i, size in enumerate(sizes):
-                mach = size - n * (i > 0)
-                spans = 1 + (2 * span + n <= mach)
-                copies = 1 + (2 * span + 2 * n <= mach)
-                assert mach == spans * span + copies * n, (n, s, i)
-                assert (copies == 2) == (1 <= i <= q), (n, s, i)
-                if spans == 1:
-                    single.append((n, s))
-        assert sorted(set(single)) == [(1, 1), (2, 2)]
+            k = _pick_k(n)
+            pk, nsl = (1 << k) - 1, -(-n // k)
+            stacks = _layout(n, s)
+            assert len(stacks) == s, (n, s)
+            w0, r0, _ = stacks[0]
+            assert w0 >= min(2 * k, nsl) and r0 == min(2 * k, nsl), (n, s)
+            end = 2 * n
+            for i, (w, r, c) in enumerate(stacks):
+                assert 1 <= w and 1 <= r and w + r <= 64, (n, s, i)
+                assert c == (1 + (i > 0)) * _copy_rows(w, r, n) >= -(-w * n // r), (n, s, i)
+                size = n * (i > 0) + 2 * w * pk + c
+                assert size <= 3 * n, (n, s, i)
+                end += size
+            assert end <= (3 * s + 2) * n, (n, s)
 
     @pytest.mark.parametrize("n,s", [(64, 1), (83, 2), (84, 2), (256, 2), (300, 4)])
     def test_consecutive_groups_build_on_disjoint_p_rows(self, n, s, monkeypatch):
         stack_layers = synth_ancilla._stack_layers
-        built = {}  # first machinery wire -> (region, machinery size, rows per group)
+        built = {}  # first P-span wire -> (region, copy rows, rows per group)
 
-        def record(vals, colour, widths, ctrl, tgt, mach, with_undo=True, parity=0):
-            out = stack_layers(vals, colour, widths, ctrl, tgt, mach, with_undo, parity)
+        def record(vals, colour, widths, ctrl, tgt, p_rows, copy_rows, with_undo=True, parity=0):
+            out = stack_layers(vals, colour, widths, ctrl, tgt, p_rows, copy_rows, with_undo, parity)
             nb = sum(len(_p_template(kb)) for kb in dict.fromkeys(widths.tolist()))
-            p_rows = set(np.concatenate([a[:, 1] for a in out[:nb]]).tolist())
+            p_set = set(np.concatenate([a[:, 1] for a in out[:nb]]).tolist())
             written = set(np.concatenate([a[:, 1] for a in out]).tolist())
-            machinery = set(mach.tolist())
-            assert p_rows <= machinery
-            region = machinery | (set() if with_undo else set(tgt.tolist()))
-            rows = built.setdefault(int(mach[0]), (region, mach.size, []))[2]
-            rows.append((p_rows, (written & machinery) - p_rows))
+            copies = set(copy_rows.tolist())
+            assert p_set <= set(p_rows.tolist())
+            # the span of parity 0 starts the machinery; parity 1 follows it
+            first = int(p_rows[0]) - parity * p_rows.size
+            region = set(range(first, int(copy_rows[-1]) + 1))
+            region |= set() if with_undo else set(tgt.tolist())
+            rows = built.setdefault(first, (region, copy_rows.size, []))[2]
+            rows.append((p_set, written & copies))
             return out
 
         monkeypatch.setattr(synth_ancilla, "_stack_layers", record)
@@ -227,22 +231,16 @@ class TestPRegions:
         regions = [region for region, _, _ in built.values()]
         assert len(set().union(*regions)) == sum(map(len, regions))
         assert set().union(*regions) <= set(range(2 * n, (3 * s + 2) * n))
-        span = _p_span(n)
-        doubled = 0
-        for _, size, groups in built.values():
-            # every stack alternates its P rows here, the n = 83 partial
-            # stack included (it kept one region while it had 2n wires)
-            assert 2 * span + n <= size, (n, s, size)
-            copies_alternate = 2 * span + 2 * n <= size
-            doubled += copies_alternate
+        for i, (_, c, groups) in enumerate(built.values()):
             assert len(groups) > 1
             for (p_a, c_a), (p_b, c_b) in zip(groups, groups[1:]):
-                assert p_a.isdisjoint(p_b), (n, s, size)
+                assert p_a.isdisjoint(p_b), (n, s, i)
                 assert c_a and c_b
-                assert c_a.isdisjoint(c_b) == copies_alternate, (n, s, size)
-        # one partial stack doubles its copy rows where spare room holds n:
-        # not at n = 83, s = 2 (81 wires spare), at n = 84, s = 2 (84)
-        assert doubled == ((n, s) in {(84, 2), (256, 2), (300, 4)})
+                # copies alternate exactly where both groups' fit in half;
+                # a partial stack's always do
+                halves = max(len(c_a), len(c_b)) <= c // 2
+                assert c_a.isdisjoint(c_b) == halves, (n, s, i)
+                assert halves or i == 0, (n, s, i)
 
     @pytest.mark.parametrize("n", [15, 16, 23, 24, 63, 64, 83, 84, 85])
     def test_verifies_at_every_scale_around_the_single_region_ranges(self, n):
@@ -252,25 +250,30 @@ class TestPRegions:
             assert rep.ok and rep.ancilla_restored, (n, s)
 
 
-def _reference_paste_colours(vals, g):
-    """The paste colouring as a loop: per slice, each value's targets in
-    order are cut into runs of g; pastes are taken by (slice within stack,
+def _reference_paste_colours(vals, ws, rs):
+    """The paste colouring as a loop: slices fall into consecutive stacks
+    of ws[i] slices; per slice, each value's targets in order are cut into
+    runs of its stack's rs[i]; pastes are taken by (slice within stack,
     position within run), each given the least colour unused at its
     target in its stack and in its run."""
+    stack_of = [i for i, w in enumerate(ws) for _ in range(w)]
+    first = {i: sum(ws[:i]) for i in range(len(ws))}
     pastes = []
     for sl in range(vals.shape[0]):
+        st = stack_of[sl]
+        r = rs[st]
         seen = {}
         for t in range(vals.shape[1]):
             v = int(vals[sl, t])
             if v:
                 q = seen[v] = seen.get(v, -1) + 1
-                pastes.append(((sl % g, q % g), sl, t, (sl, v, q // g)))
+                pastes.append(((sl - first[st], q % r), sl, t, (sl, v, q // r)))
     at_used, run_used = {}, {}
     colour = np.full(vals.shape, -1)
     for _, sl, t, run in sorted(pastes, key=lambda e: e[0]):
-        taken = at_used.setdefault((sl // g, t), set()) | run_used.setdefault(run, set())
+        taken = at_used.setdefault((stack_of[sl], t), set()) | run_used.setdefault(run, set())
         c = min(set(range(len(taken) + 1)) - taken)
-        at_used[sl // g, t].add(c)
+        at_used[stack_of[sl], t].add(c)
         run_used[run].add(c)
         colour[sl, t] = c
     return colour
@@ -279,12 +282,17 @@ def _reference_paste_colours(vals, g):
 class TestPasteColours:
     @pytest.mark.parametrize("g", [2, 4, 6])
     def test_matches_loop(self, g):
-        # values with zeros and repeats, a source longer than a run, and a
-        # last stack with fewer than g slices
+        # values with zeros and repeats, a source longer than a run, runs
+        # longer and shorter than the stack is wide, stacks of two widths
+        # in turn, and a last stack cut short
         rng = np.random.default_rng(g)
-        for nsl, n_t, nv in ((1, 1, 2), (g, 3 * g + 1, 3), (2 * g + 1, 40, 1 << (g // 2))):
-            vals = rng.integers(0, nv, (nsl, n_t)).astype(np.uint16)
-            assert np.array_equal(_paste_colours(vals, g), _reference_paste_colours(vals, g))
+        for ws, rs in (([g], [g + 1]), ([g], [g // 2]), ([g, g // 2 + 1], [1, g])):
+            w = sum(ws)
+            for nsl, n_t, nv in ((1, 1, 2), (w, 3 * max(rs) + 1, 3), (2 * w + 1, 40, 1 << (g // 2))):
+                vals = rng.integers(0, nv, (nsl, n_t)).astype(np.uint16)
+                reps = -(-nsl // w)
+                want = _reference_paste_colours(vals, ws * reps, rs * reps)
+                assert np.array_equal(_paste_colours(vals, ws * reps, rs * reps), want), (ws, rs)
 
 
 class TestGenYcol:
@@ -330,12 +338,12 @@ class TestGenYcol:
 
     @pytest.mark.parametrize("n", [*range(1, 9), 65, 300])
     def test_layout_bounds(self, n, stack_schedules):
-        # the fit _paste_colours proves, G = 2k: at most 2G-1 paste colours,
-        # each distinct at its target within a stack; a source of degree d
-        # takes at most ceil(d/G)-1 copies, so a stack makes at most n,
-        # within the spare machinery, at every s
+        # the fit _paste_colours proves for the stacks of _layout(n, s), w
+        # slices with runs of r: at most w+r-1 paste colours per stack, each
+        # distinct at its target within the stack; a source of degree d
+        # takes at most ceil(d/r)-1 copies, so a stack makes at most
+        # ceil(w*n/r), within its copy rows, at every s
         k = _pick_k(n)
-        g = 2 * k
         rng = np.random.default_rng(n)
         row = rng.integers(0, 2, n)
         row[::k] = 1  # a nonzero value in every slice
@@ -348,19 +356,31 @@ class TestGenYcol:
         for name, dense in inputs.items():
             dense = dense.astype(np.uint8)
             _, vals = _slice_values(dense, k)
-            colour = _paste_colours(vals, g)
-            assert np.array_equal(colour >= 0, vals > 0), name
-            assert colour.max() <= 2 * g - 2, name
-            for g0 in range(0, vals.shape[0], g):
-                col = np.sort(colour[g0 : g0 + g], axis=0)
-                assert not ((col[1:] == col[:-1]) & (col[1:] >= 0)).any(), name
+            nsl = vals.shape[0]
             for s in range(1, max_scale(n) + 1):
+                stacks = _layout(n, s)
+                reps = -(-nsl // sum(w for w, _, _ in stacks))
+                # the stacks in emission order, as far as the slices go
+                order = []
+                g0 = 0
+                for _ in range(reps):
+                    for w, r, c in stacks:
+                        if g0 < nsl:
+                            order.append((g0, w, r, c))
+                        g0 += w
+                colour = _paste_colours(vals, [w for w, _, _ in stacks] * reps,
+                                        [r for _, r, _ in stacks] * reps)
+                assert np.array_equal(colour >= 0, vals > 0), (name, s)
+                for g0, w, r, _ in order:
+                    col = np.sort(colour[g0 : g0 + w], axis=0)
+                    assert col.max() <= w + r - 2, (name, s)
+                    assert not ((col[1:] == col[:-1]) & (col[1:] >= 0)).any(), (name, s)
                 stack_schedules.clear()
                 _embed_layers(dense, s, 0, n)
-                assert len(stack_schedules) == -(-vals.shape[0] // g), (name, s)
-                for demand, extra, spare in stack_schedules:
-                    assert np.all(extra <= -(-demand // g) - 1), (name, s)
-                    assert extra.sum() <= min(n, spare), (name, s)
+                assert len(stack_schedules) == len(order), (name, s)
+                for (demand, extra, spare), (_, w, r, c) in zip(stack_schedules, order):
+                    assert np.all(extra <= -(-demand // r) - 1), (name, s)
+                    assert extra.sum() <= min(-(-w * n // r), spare) and spare == c, (name, s)
 
 
 class TestGenScols:
@@ -384,7 +404,7 @@ class TestGenScols:
         n = 256
         k = _pick_k(n)
         for short in (0, 7):
-            width = s * 2 * k * k - short
+            width = k * sum(w for w, _, _ in _layout(n, s)) - short
             rng = np.random.default_rng(10 * s + short)
             y = F2Matrix.from_dense(rng.integers(0, 2, (n, width)))
             c = group_circuit(y, s)
@@ -541,9 +561,9 @@ def test_depth_below_parent(s, n, seed):
 # synth_with_ancillae(random_gl(n, seed), s, seed=seed).depth when every
 # stack owned 3n work wires and a partial stack made every group's copies
 # on the same rows, so a group could copy only once the previous one had
-# reversed its pastes and copies; s = 1 keeps its circuits byte for byte
+# reversed its pastes and copies; S1_DEPTHS are today's s = 1 depths
 PARENT_S2_DEPTHS = {(256, 0): 253, (256, 1): 251, (256, 2): 255, (512, 100): 523, (1024, 1): 797}
-S1_DEPTHS = {(256, 0): 257, (256, 1): 256, (256, 2): 256, (512, 100): 555, (1024, 1): 853}
+S1_DEPTHS = {(256, 0): 221, (256, 1): 219, (256, 2): 219, (512, 100): 354, (1024, 1): 595}
 
 
 @pytest.mark.parametrize("n,seed", sorted(PARENT_S2_DEPTHS))
@@ -553,3 +573,23 @@ def test_s2_depth_below_parent(n, seed):
     assert verify_implements(c2, m).ok
     assert c2.depth <= 0.93 * PARENT_S2_DEPTHS[n, seed]
     assert c1.depth == S1_DEPTHS[n, seed]
+
+
+# synth_with_ancillae(random_gl(n, seed), s, seed=seed).depth when every
+# stack was 2k slices wide with runs of 2k, so its paste runs were tied to
+# its width, stack 0 had n copy rows and the partial stacks 2n
+PARENT_RUN_DEPTHS = {
+    1: {(256, 0): 257, (256, 1): 256, (256, 2): 256, (512, 100): 555, (1024, 1): 853},
+    2: {(256, 0): 228, (256, 1): 227, (256, 2): 230, (512, 100): 435, (1024, 1): 700},
+}
+
+
+@pytest.mark.parametrize(
+    "s,n,seed", [(s, n, seed) for s, v in PARENT_RUN_DEPTHS.items() for n, seed in sorted(v)]
+)
+def test_copy_runs_depth_below_parent(s, n, seed):
+    m = random_gl(n, seed)
+    c = synth_with_ancillae(m, s, seed=seed)
+    assert verify_implements(c, m).ok
+    ratio = 0.8 if s == 1 and n >= 512 else 1.0
+    assert c.depth <= ratio * PARENT_RUN_DEPTHS[s][n, seed]
