@@ -17,17 +17,22 @@ into partial blocks, which a fan-in adds into the target rows before their
 builds are reversed.  Pollution survives only in columns the ancilla
 contract leaves unconstrained.
 
-The work wires are laid out once per (n, s) (_layout): each stack has a
-width w in slices, a run length r, two P spans of w(2^k - 1) wires and
-ceil(w*n/r) copy rows (twice that for a partial stack), a partial stack
-its n-row partial block too, and no stack more than 3n wires.  Stack 0
-keeps runs of 2k and spends its idle wires on width; the partial stacks,
-which paste twice, are narrower with shorter runs.  The pastes of the
-whole embedding are coloured once (_paste_colours): each (slice, value)
-source's pastes are cut into runs of its stack's r, and a greedy gives
-every paste a colour free at its target and in its run, so a stack uses
-at most w+r-1 colours and ceil(w*n/r) copy rows; _paste_layers turns the
-colours into a stack's copy and paste layers.
+The slice width k is chosen once per embedding (_slices): it grows with
+the room, floor(log2((3s+2)n) / 2), as the paper's log(n+m), where the
+input reads nearly all of that width's P rows and its layout still runs
+several column groups, and stays floor(log2(n) / 2) otherwise (both
+lowered until a stack fits, _pick_k).  The work wires are then laid out
+once (_layout): each stack has a width w in slices, a run length r, two
+P spans of w(2^k - 1) wires and ceil(w*n/r) copy rows (twice that for a
+partial stack), a partial stack its n-row partial block too, and no
+stack more than 3n wires.  Stack 0 keeps runs of about 2k and spends its
+idle wires on width; the partial stacks, which paste twice, are narrower
+with shorter runs.  The pastes of the whole embedding are coloured once
+(_paste_colours): each (slice, value) source's pastes are cut into runs
+of its stack's r, and a greedy gives every paste a colour free at its
+target and in its run, so a stack uses at most w+r-1 colours and
+ceil(w*n/r) copy rows; _paste_layers turns the colours into a stack's
+copy and paste layers.
 
 Every fragment is emitted as one gate sequence, stack after stack and
 group after group, and levelled once as soon as possible
@@ -51,12 +56,12 @@ import numpy as np
 from .circuit import Circuit, _fold_layers, _stable_order, level_asap, levelled_circuit
 from .errors import DimensionMismatch
 from .f2 import F2Matrix, invert
-from .synth_free import _split_by, permutation_layers
+from .synth_free import _split_by
 
 
 # ----------------------------------------------------------------------
 # layout: n data wires, an n-wire mirror block and a 3sn-wire work block;
-# stack i of a column group owns the work wires of _layout(n, s)[i] (its
+# stack i of a column group owns the work wires of _layout(n, s, k)[i] (its
 # partial block, two P spans and its copy rows) that follow those of stacks
 # 0..i-1, the first from 2n
 # ----------------------------------------------------------------------
@@ -246,12 +251,13 @@ def _stack_layers(vals, colour, widths, ctrl_wires, tgt_wires, p_rows, copy_rows
     return step1 + step2 + step3 + list(reversed(step1 + step2))
 
 
-def _pick_k(n: int) -> int:
-    """Slice width: floor(log2(n) / 2), lowered until the narrowest stack,
-    2k slices of 2^k - 1 P rows each, takes two P spans and n copy rows
-    within its 3n work wires, 2k(2^k - 1) <= n (at k = 1 it always does: a
-    stack of one or two 1-bit slices)."""
-    k = max(1, (max(n, 2).bit_length() - 1) // 2)
+def _pick_k(n: int, room: int = 0) -> int:
+    """Slice width: floor(log2(room) / 2), room n unless given, lowered
+    until the narrowest stack, 2k slices of 2^k - 1 P rows each, takes two
+    P spans and n copy rows within its 3n work wires, 2k(2^k - 1) <= n (at
+    k = 1 it always does: a stack of one or two 1-bit slices).  The room of
+    an embedding is its (3s+2)n wires (_slices)."""
+    k = max(1, (max(room or n, 2).bit_length() - 1) // 2)
     while k > 1 and 2 * k * ((1 << k) - 1) > n:
         k -= 1
     return k
@@ -263,50 +269,53 @@ def _copy_rows(w: int, r: int, n: int) -> int:
     return -(-w * n // r)
 
 
-def _partial_runs(w: int, n: int) -> int:
+def _partial_runs(w: int, n: int, k: int) -> int:
     """Shortest runs, w + r <= 64, for which a partial stack of w slices
-    fits its two P spans and twice its copy rows in its 2n machinery
-    wires (None if none do)."""
-    pk = (1 << _pick_k(n)) - 1
+    of width k fits its two P spans and twice its copy rows in its 2n
+    machinery wires (None if none do)."""
+    pk = (1 << k) - 1
     return next((r for r in range(1, 65 - w) if w * pk + _copy_rows(w, r, n) <= n), None)
 
 
-def _layout(n: int, s: int) -> list:
-    """(w, r, c) per stack of a column group, in stack order: w slices, the
-    pastes of each (slice, value) cut into runs of r, and c copy rows.
-    Stack i owns the work wires after those of stacks 0..i-1, from 2n: its
-    n-row partial block (stacks 1..s-1 only), two P spans of w(2^k - 1)
-    wires and its c copy rows; each stack stays within 3n wires, so all
-    within the 3sn work wires, and w + r <= 64.
+def _layout(n: int, s: int, k: int) -> list:
+    """(w, r, c) per stack of a column group of k-bit slices, in stack
+    order: w slices, the pastes of each (slice, value) cut into runs of r,
+    and c copy rows.  Stack i owns the work wires after those of stacks
+    0..i-1, from 2n: its n-row partial block (stacks 1..s-1 only), two P
+    spans of w(2^k - 1) wires and its c copy rows; each stack stays within
+    3n wires, so all within the 3sn work wires, and w + r <= 64.  Every k
+    that _pick_k returns for n lays out (2k(2^k - 1) <= n).
 
-    Stack 0 keeps runs of 2k, so no more copies than a 2k-slice stack, and
-    spends its 3n wires on width: the widest stack of at least 2k slices
-    whose spans and ceil(w*n/r) copy rows fit.  A partial stack pastes
-    twice, into its block and back out, so it is narrower, 3/8 of stack 0,
-    with the shortest runs for which twice its copy rows fit; a group's
-    copies always fit in half of them, so consecutive groups copy on
-    disjoint rows.  Where that leaves the partial stacks two or three
-    groups to carry (the slices past each group's stack 0), they widen to
-    the least width that carries one group fewer: a last group that stack
-    0 covers alone costs little, a group with partial stacks a fan-in and
-    a reversal.
+    Stack 0 pastes in runs of k + _pick_k(n): 2k at the narrower width
+    _pick_k(n), one shorter for each bit by which _slices widens k, whose
+    wider slices give each source fewer pastes, so that shorter runs save
+    paste colours for few extra copies.  It spends its 3n wires on width:
+    the widest stack of at least one run's slices whose spans and
+    ceil(w*n/r) copy rows fit.  A partial stack pastes twice, into its
+    block and back out, so it is narrower, 3/8 of stack 0, with the
+    shortest runs for which twice its copy rows fit; a group's copies
+    always fit in half of them, so consecutive groups copy on disjoint
+    rows.  Where that leaves the partial stacks two or three groups to
+    carry (the slices past each group's stack 0), they widen to the least
+    width that carries one group fewer: a last group that stack 0 covers
+    alone costs little, a group with partial stacks a fan-in and a
+    reversal.
     """
-    k = _pick_k(n)
     pk = (1 << k) - 1
     nsl = -(-n // k)
-    g = min(2 * k, nsl)
-    w0 = max(w for w in range(g, 65 - g) if 2 * w * pk + _copy_rows(w, g, n) <= 3 * n)
+    r0 = min(k + _pick_k(n), nsl)
+    w0 = max(w for w in range(r0, 65 - r0) if 2 * w * pk + _copy_rows(w, r0, n) <= 3 * n)
     w0 = min(w0, nsl)
-    stacks = [(w0, g, _copy_rows(w0, g, n))]
+    stacks = [(w0, r0, _copy_rows(w0, r0, n))]
     if s > 1:
         wp, rest = max(1, 3 * w0 // 8), nsl - w0
         groups = -(-rest // (w0 + (s - 1) * wp))
         if 2 <= groups <= 3:
             per_group = -(-rest // (groups - 1))  # slices, one group fewer
             wide = -(-(per_group - w0) // (s - 1))
-            if wide <= w0 and _partial_runs(wide, n):
+            if wide <= w0 and _partial_runs(wide, n, k):
                 wp = wide
-        rp = _partial_runs(wp, n)
+        rp = _partial_runs(wp, n, k)
         stacks += [(wp, rp, 2 * _copy_rows(wp, rp, n))] * (s - 1)
     return stacks
 
@@ -390,21 +399,64 @@ def _group_layers(vals, colour, widths, k, ctrl_base, tgt_base, stacks, parity=0
     return direct + build + _fanin_layers(partials, tgt_base, n) + list(reversed(build))
 
 
+def _p_row_use(widths, vals) -> float:
+    """Share of the P rows of the slices (2^w - 1 per slice of width w)
+    that some paste of ``vals`` reads: the (slice, nonzero value) sources
+    present over the rows built."""
+    nv = 1 << int(widths.max())
+    cell = (np.arange(len(widths)) * nv)[:, None] + vals
+    present = np.bincount(cell[vals > 0], minlength=len(widths) * nv) > 0
+    return np.count_nonzero(present) / int(((1 << widths) - 1).sum())
+
+
+def _group_count(nsl: int, stacks) -> int:
+    """Column groups that carry nsl slices on ``stacks`` (_layout)."""
+    return -(-nsl // sum(w for w, _, _ in stacks))
+
+
+# the wider slices are taken where the input reads at least this share of
+# their P rows, and their layout runs at least this many column groups
+_P_ROW_USE = 0.9
+_MIN_GROUPS = 5
+
+
+def _slices(m_dense, s: int) -> tuple:
+    """(k, widths, vals, stacks): the slice width, _slice_values and
+    _layout of one embedding of the n x n matrix M at scale s.
+
+    k is _pick_k(n, (3s+2)n), which grows with the room, where M's slices
+    of that width read at least _P_ROW_USE of their P rows (_p_row_use)
+    and its layout runs at least _MIN_GROUPS column groups, and the
+    narrower _pick_k(n) otherwise.  A P block is built whether or not a
+    paste reads it: random matrices read every row, structured ones
+    (permutations, triangles, sparse or dense blocks) far fewer, and pay
+    for the wider blocks in depth.  With many stacks to few groups (s =
+    max_scale(n), 2 to 4 groups) the wider slices were deeper too."""
+    n = m_dense.shape[0]
+    k = _pick_k(n, (3 * s + 2) * n)
+    if k > _pick_k(n):
+        stacks = _layout(n, s, k)
+        if _group_count(-(-n // k), stacks) >= _MIN_GROUPS:
+            widths, vals = _slice_values(m_dense, k)
+            if _p_row_use(widths, vals) >= _P_ROW_USE:
+                return k, widths, vals, stacks
+        k = _pick_k(n)
+    return (k, *_slice_values(m_dense, k), _layout(n, s, k))
+
+
 def _embed_layers(m_dense, s: int, ctrl_base: int, tgt_base: int) -> list:
     """Layers adding the n x n matrix M (columns read from ctrl wires) into
     the target rows, work region restored; the pastes of every stack are
-    coloured together, each stack with its own width and runs.  The work
-    region is laid out once (_layout) and every group uses the same
-    stacks.  Column groups are emitted one after another, group gi
-    building its P rows (and, where they fit in half, making its copies)
-    in region gi % 2 of each stack, so that one group's build and copy
-    fan-out overlap the previous group's pastes and undo once levelled."""
-    n = m_dense.shape[0]
-    k = _pick_k(n)
-    widths, vals = _slice_values(m_dense, k)
-    stacks = _layout(n, s)
+    coloured together, each stack with its own width and runs.  The slice
+    width and the work region are chosen once (_slices) and every group
+    uses the same stacks.  Column groups are emitted one after another,
+    group gi building its P rows (and, where they fit in half, making its
+    copies) in region gi % 2 of each stack, so that one group's build and
+    copy fan-out overlap the previous group's pastes and undo once
+    levelled."""
+    k, widths, vals, stacks = _slices(m_dense, s)
     per_group = sum(w for w, _, _ in stacks)  # slices
-    groups = -(-len(widths) // per_group)
+    groups = _group_count(len(widths), stacks)
     colour = _paste_colours(vals, [w for w, _, _ in stacks] * groups,
                             [r for _, r, _ in stacks] * groups)
     layers = []
@@ -422,9 +474,10 @@ def synth_with_ancillae(m: F2Matrix, s: int, seed: int = 0) -> Circuit:
 
     Composition: embed M into the mirror block, embed M^-1 back onto the
     data block (mirror wires as controls), then swap the two n-wire blocks
-    with one transposition layer triple; the whole sequence is levelled
-    once.  The construction is deterministic: ``seed`` is accepted for
-    callers that pass one to every method, and has no effect.
+    with three n-gate layers, (i -> n+i), (n+i -> i), (i -> n+i); the
+    whole sequence is levelled once.  The construction is deterministic:
+    ``seed`` is accepted for callers that pass one to every method, and
+    has no effect.
     """
     if m.rows != m.cols:
         raise DimensionMismatch("square matrix required")
@@ -435,12 +488,9 @@ def synth_with_ancillae(m: F2Matrix, s: int, seed: int = 0) -> Circuit:
     if s > cap:
         warnings.warn(f"ancilla scale {s} clamped to {cap} (= n/log2(n)^2)")
         s = cap
-    wires = (3 * s + 2) * n
     minv = invert(m)
     layers = _embed_layers(m.to_dense(), s, 0, n)
     layers += _embed_layers(minv.to_dense(), s, n, 0)
-    swap = np.arange(wires)
-    swap[:n] = np.arange(n, 2 * n)
-    swap[n : 2 * n] = np.arange(n)
-    layers += [l.pairs for l in permutation_layers(swap).layers]
-    return levelled_circuit(layers, wires, n)
+    swap = np.stack([np.arange(n), np.arange(n, 2 * n)], axis=1)
+    layers += [swap, swap[:, ::-1], swap]
+    return levelled_circuit(layers, (3 * s + 2) * n, n)

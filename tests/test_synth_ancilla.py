@@ -8,6 +8,7 @@ from cnotsynth import (
     F2Matrix,
     apply_to_bits,
     format_circuit,
+    invert,
     max_scale,
     random_gl,
     simulate_to_matrix,
@@ -17,17 +18,23 @@ from cnotsynth import (
 from cnotsynth import synth_ancilla
 from cnotsynth.circuit import Circuit, Layer, levelled_circuit
 from cnotsynth.synth_ancilla import (
+    _MIN_GROUPS,
+    _P_ROW_USE,
     _copy_rows,
     _doubling_rounds,
     _embed_layers,
+    _group_count,
     _group_layers,
     _layout,
     _p_template,
     _paste_colours,
+    _p_row_use,
     _pick_k,
     _slice_values,
+    _slices,
     _stack_layers,
 )
+from test_corpus import STRUCTURED
 
 # The fragment tests below run the private builders that synth_with_ancillae
 # runs, levelled on their own: an embedding (_embed_layers) on n data wires,
@@ -65,7 +72,7 @@ def group_circuit(y, s):
     into the mirror rows, on (3s+2)n wires."""
     n = y.rows
     k = _pick_k(n)
-    stacks = _layout(n, s)
+    stacks = _layout(n, s, k)
     widths, vals = _slice_values(y.to_dense(), k)
     colour = _paste_colours(vals, [w for w, _, _ in stacks], [r for _, r, _ in stacks])
     layers = _group_layers(vals, colour, widths, k, 0, n, stacks)
@@ -182,27 +189,29 @@ class TestPRegions:
     ]
 
     def test_regions_hold_their_spans_and_copy_rows(self):
-        # regions laid one after another from wire 2n are disjoint; each
-        # holds its partial block, two spans and at least ceil(w*n/r) copy
-        # rows (the bound _paste_colours proves), at most 3n wires, so all
-        # lie inside the (3s+1)n ancillae; w + r <= 64 keeps the colours in
-        # the int64 masks, and stack 0 is at least 2k slices wide (or all
-        # of them) with runs of 2k
+        # for both slice widths _slices can pick, the narrower _pick_k(n) and
+        # _pick_k(n, (3s+2)n): regions laid one after another from wire 2n
+        # are disjoint; each holds its partial block, two spans and at
+        # least ceil(w*n/r) copy rows (the bound _paste_colours proves), at
+        # most 3n wires, so all lie inside the (3s+1)n ancillae; w + r <= 64
+        # keeps the colours in the int64 masks, and stack 0 pastes in runs
+        # of k + _pick_k(n) (2k at the narrower width), or of all the
+        # slices, and is at least one run wide
         for n, s in self.SCALES:
-            k = _pick_k(n)
-            pk, nsl = (1 << k) - 1, -(-n // k)
-            stacks = _layout(n, s)
-            assert len(stacks) == s, (n, s)
-            w0, r0, _ = stacks[0]
-            assert w0 >= min(2 * k, nsl) and r0 == min(2 * k, nsl), (n, s)
-            end = 2 * n
-            for i, (w, r, c) in enumerate(stacks):
-                assert 1 <= w and 1 <= r and w + r <= 64, (n, s, i)
-                assert c == (1 + (i > 0)) * _copy_rows(w, r, n) >= -(-w * n // r), (n, s, i)
-                size = n * (i > 0) + 2 * w * pk + c
-                assert size <= 3 * n, (n, s, i)
-                end += size
-            assert end <= (3 * s + 2) * n, (n, s)
+            for k in {_pick_k(n), _pick_k(n, (3 * s + 2) * n)}:
+                pk, nsl = (1 << k) - 1, -(-n // k)
+                stacks = _layout(n, s, k)
+                assert len(stacks) == s, (n, s, k)
+                w0, r0, _ = stacks[0]
+                assert w0 >= r0 == min(k + _pick_k(n), nsl), (n, s, k)
+                end = 2 * n
+                for i, (w, r, c) in enumerate(stacks):
+                    assert 1 <= w and 1 <= r and w + r <= 64, (n, s, k, i)
+                    assert c == (1 + (i > 0)) * _copy_rows(w, r, n) >= -(-w * n // r), (n, s, k, i)
+                    size = n * (i > 0) + 2 * w * pk + c
+                    assert size <= 3 * n, (n, s, k, i)
+                    end += size
+                assert end <= (3 * s + 2) * n, (n, s, k)
 
     @pytest.mark.parametrize("n,s", [(64, 1), (83, 2), (84, 2), (256, 2), (300, 4)])
     def test_consecutive_groups_build_on_disjoint_p_rows(self, n, s, monkeypatch):
@@ -248,6 +257,56 @@ class TestPRegions:
         for s in range(1, max_scale(n) + 1):
             rep = verify_implements(synth_with_ancillae(m, s), m)
             assert rep.ok and rep.ancilla_restored, (n, s)
+
+
+class TestSliceWidth:
+    """The slice width of an embedding (_slices): _pick_k(n, (3s+2)n),
+    which grows with the room, where the input reads at least _P_ROW_USE of
+    that width's P rows and its layout runs at least _MIN_GROUPS column
+    groups; the narrower _pick_k(n) otherwise."""
+
+    FAMILIES = {**STRUCTURED, "random_gl": lambda n: random_gl(n, n)}
+
+    @pytest.mark.parametrize("n", [127, 512, 1024])
+    def test_p_row_use_parts_random_from_structured(self, n):
+        # random matrices and their inverses read every P row of the wider
+        # slices; no structured family nor its inverse reads 0.8 of them
+        k = _pick_k(n, 5 * n)
+        assert k == _pick_k(n) + 1
+        for family, make in self.FAMILIES.items():
+            m = make(n)
+            for dense in (m.to_dense(), invert(m).to_dense()):
+                use = _p_row_use(*_slice_values(dense, k))
+                if family == "random_gl":
+                    assert use == 1.0, (family, n)
+                else:
+                    assert use < 0.8 < _P_ROW_USE, (family, n, use)
+
+    @pytest.mark.parametrize("n", [127, 512, 1024])
+    def test_random_takes_the_room_and_structured_keep_the_narrower_k(self, n):
+        # at s = 1, where the wider slices' layout runs _MIN_GROUPS groups,
+        # both embeddings of a random matrix take them and those of every
+        # structured one keep the narrower width; the slices and stacks
+        # returned are those of the width returned
+        k_room = _pick_k(n, 5 * n)
+        assert _group_count(-(-n // k_room), _layout(n, 1, k_room)) >= _MIN_GROUPS
+        for family, make in self.FAMILIES.items():
+            m = make(n)
+            for dense in (m.to_dense(), invert(m).to_dense()):
+                k, widths, vals, stacks = _slices(dense, 1)
+                assert k == (k_room if family == "random_gl" else _pick_k(n)), family
+                want_widths, want_vals = _slice_values(dense, k)
+                assert np.array_equal(widths, want_widths) and np.array_equal(vals, want_vals)
+                assert stacks == _layout(n, 1, k)
+
+    @pytest.mark.parametrize("n,s,groups", [(1024, 10, 2), (2048, 16, 4)])
+    def test_many_stacks_keep_the_narrower_k(self, n, s, groups):
+        # at s = max_scale(n) the wider slices would leave too few column
+        # groups, so even a random matrix keeps the narrower width
+        k_room = _pick_k(n, (3 * s + 2) * n)
+        assert s == max_scale(n) and k_room > _pick_k(n)
+        assert _group_count(-(-n // k_room), _layout(n, s, k_room)) == groups < _MIN_GROUPS
+        assert _slices(random_gl(n, 1).to_dense(), s)[0] == _pick_k(n)
 
 
 def _reference_paste_colours(vals, ws, rs):
@@ -336,17 +395,17 @@ class TestGenYcol:
         sim = simulate_to_matrix(c)
         assert np.array_equal(block(sim, range(n, 2 * n), range(w)), y.to_dense())
 
-    @pytest.mark.parametrize("n", [*range(1, 9), 65, 300])
+    @pytest.mark.parametrize("n", [*range(1, 9), 65, 129, 300])
     def test_layout_bounds(self, n, stack_schedules):
         # the fit _paste_colours proves for the stacks of _layout(n, s), w
         # slices with runs of r: at most w+r-1 paste colours per stack, each
         # distinct at its target within the stack; a source of degree d
         # takes at most ceil(d/r)-1 copies, so a stack makes at most
-        # ceil(w*n/r), within its copy rows, at every s
-        k = _pick_k(n)
+        # ceil(w*n/r), within its copy rows, at every s, for the slice
+        # width and stacks that _slices picks
         rng = np.random.default_rng(n)
         row = rng.integers(0, 2, n)
-        row[::k] = 1  # a nonzero value in every slice
+        row[:: _pick_k(n)] = 1  # a nonzero value in every slice
         inputs = {
             "ones": np.ones((n, n)),
             "shared": np.tile(row, (n, 1)),
@@ -355,10 +414,9 @@ class TestGenYcol:
         }
         for name, dense in inputs.items():
             dense = dense.astype(np.uint8)
-            _, vals = _slice_values(dense, k)
-            nsl = vals.shape[0]
             for s in range(1, max_scale(n) + 1):
-                stacks = _layout(n, s)
+                _, _, vals, stacks = _slices(dense, s)
+                nsl = vals.shape[0]
                 reps = -(-nsl // sum(w for w, _, _ in stacks))
                 # the stacks in emission order, as far as the slices go
                 order = []
@@ -404,7 +462,7 @@ class TestGenScols:
         n = 256
         k = _pick_k(n)
         for short in (0, 7):
-            width = k * sum(w for w, _, _ in _layout(n, s)) - short
+            width = k * sum(w for w, _, _ in _layout(n, s, k)) - short
             rng = np.random.default_rng(10 * s + short)
             y = F2Matrix.from_dense(rng.integers(0, 2, (n, width)))
             c = group_circuit(y, s)
@@ -561,9 +619,11 @@ def test_depth_below_parent(s, n, seed):
 # synth_with_ancillae(random_gl(n, seed), s, seed=seed).depth when every
 # stack owned 3n work wires and a partial stack made every group's copies
 # on the same rows, so a group could copy only once the previous one had
-# reversed its pastes and copies; S1_DEPTHS are today's s = 1 depths
+# reversed its pastes and copies; S1_DEPTHS are today's s = 1 depths, those
+# at n = 512 and 1024 (354 and 595 at the narrower slice width) since a random
+# matrix there takes the wider slices of _slices
 PARENT_S2_DEPTHS = {(256, 0): 253, (256, 1): 251, (256, 2): 255, (512, 100): 523, (1024, 1): 797}
-S1_DEPTHS = {(256, 0): 221, (256, 1): 219, (256, 2): 219, (512, 100): 354, (1024, 1): 595}
+S1_DEPTHS = {(256, 0): 221, (256, 1): 219, (256, 2): 219, (512, 100): 347, (1024, 1): 575}
 
 
 @pytest.mark.parametrize("n,seed", sorted(PARENT_S2_DEPTHS))
