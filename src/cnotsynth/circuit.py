@@ -100,7 +100,7 @@ class Circuit:
         self.data = data
         self.layers = _as_layers(layers)
         for l in self.layers:
-            if len(l) and int(l.pairs.max()) >= wires:
+            if len(l) and (int(l.pairs.min()) < 0 or int(l.pairs.max()) >= wires):
                 raise MalformedLayer("gate outside wire range")
 
     @property
@@ -224,16 +224,13 @@ def _stable_order(keys: np.ndarray, nkeys: int) -> np.ndarray:
     return order
 
 
-def level_asap(layers: list, wires: int) -> None:
-    """Relayer a gate sequence as soon as possible, in place.
+def _relevel(layers: list, wires: int, placer) -> None:
+    """Relayer a gate sequence in place, the levels from ``placer``.
 
     ``layers`` holds (control, target) arrays in the order they are
-    applied; the gates of one array share no wire.  Each gate goes one
-    level past the last level that touched either of its wires.  Every
-    wire keeps its sequence of gates, and gates on disjoint wires commute,
-    so the circuit's matrix is unchanged; the depth is the longest chain
-    of gates linked by shared wires, which no schedule that keeps each
-    wire's sequence can beat.
+    applied; the gates of one array share no wire.  ``placer(wires)``
+    gives a function ``place(arr, out)`` that writes the levels, from 1,
+    of one array's gates into ``out``, given those of every earlier array.
 
     ``layers`` ends up holding one int32 array per level, in level order,
     with the gates of a level in sequence order.  Each input array is
@@ -248,23 +245,19 @@ def level_asap(layers: list, wires: int) -> None:
         raise TooLarge(f"{wires} wires exceed the int32 wire indices of a levelled circuit")
     sizes = [len(arr) for arr in layers]
     # one range check over all gates, a group of arrays at a time, before
-    # ``last[arr]`` could wrap a negative index
+    # a per-wire table indexed by a gate could wrap a negative index
     for group in _chunks(range(len(layers)), sizes.__getitem__, _CHUNK_GATES):
         part = np.concatenate([layers[i] for i in group])
         if part.size and (part.min() < 0 or part.max() >= wires):
             raise MalformedLayer("gate outside wire range")
-    total = sum(sizes)
-    last = np.zeros(wires, dtype=np.int32)  # level of the latest gate per wire
-    level = np.empty(total, dtype=np.int32)
+    place = placer(wires)
+    level = np.empty(sum(sizes), dtype=np.int32)
     at = 0
     for arr, k in zip(layers, sizes):
         if k:
-            ends = last[arr]
-            lv = np.maximum(ends[:, 0], ends[:, 1], out=level[at : at + k])
-            lv += 1
-            last[arr] = lv[:, None]
+            place(arr, level[at : at + k])
             at += k
-    depth = int(last.max(initial=0))
+    depth = int(level.max(initial=0))
     # one array per level, filled a group of input layers at a time: the
     # group's gates are sorted by level and each run copied to its array
     out = [np.empty((k, 2), dtype=np.int32) for k in np.bincount(level)[1:].tolist()]
@@ -285,6 +278,101 @@ def level_asap(layers: list, wires: int) -> None:
             fill[dst] += hi - lo
         at += len(part)
     layers[:] = out
+
+
+def level_asap(layers: list, wires: int) -> None:
+    """Relayer a gate sequence as soon as possible, in place (_relevel).
+
+    Each gate goes one level past the last level that touched either of
+    its wires.  Every wire keeps its sequence of gates, and gates on
+    disjoint wires commute, so the circuit's matrix is unchanged; the
+    depth is the longest chain of gates linked by shared wires, which no
+    schedule that keeps each wire's sequence can beat.  The free
+    synthesisers, the tree contraction and the P-block template are
+    levelled this way.
+    """
+    _relevel(layers, wires, _asap_placer)
+
+
+def _asap_placer(wires: int):
+    """level_asap's place function over fresh per-wire state (_relevel)."""
+    last = np.zeros(wires, dtype=np.int32)  # level of the latest gate per wire
+
+    def place(arr, lv):
+        ends = last[arr]
+        np.maximum(ends[:, 0], ends[:, 1], out=lv)
+        lv += 1
+        last[arr] = lv[:, None]
+
+    return place
+
+
+# levels up to a wire's top level whose occupancy level_commuting keeps;
+# bit _WINDOW of a gate's window stands for the level above both its wires,
+# which is always free, so the window fits the 63 value bits of an int64
+_WINDOW = 62
+
+
+def level_commuting(layers: list, wires: int) -> None:
+    """Relayer a gate sequence by commutation, in place (_relevel).
+
+    Two CNOTs commute unless the target of one is the control of the
+    other.  So a gate (c, t) goes to the lowest level that lies above
+    every level where c was a target and every level where t was a
+    control, and where both c and t are free: it moves below earlier gates
+    that only share its control or only share its target.  Every pair of
+    gates that do not commute keeps its sequence order, so the circuit's
+    matrix is unchanged.
+
+    Per wire, the step keeps its top level, the occupancy of the _WINDOW
+    levels up to it (bit _WINDOW - 1 - i for level top - i) and its
+    highest levels as a control and as a target.  A gate looks at the
+    _WINDOW levels up to the higher top of its wires and the level above.
+    It takes the lowest of them that the rule allows, that is free on both
+    wires, and that is the lowest allowed level or has a gate on c or t one
+    level down.  Levels below the window are not known, so a free run at
+    the bottom of the window is passed over unless the lowest allowed
+    level starts it.  The level above both tops is always free, so a gate
+    never goes above its ASAP level: by induction every wire's top stays
+    at or below its ASAP top, and the depth at or below level_asap's.
+    Since every gate sits at level 1 or has a gate on its wires one level
+    down, level_asap leaves the result as it is.  The gates of an input
+    array share no wire, so the state is read and written for a whole
+    array at a time.  The ancilla synthesis is levelled this way.
+    """
+    _relevel(layers, wires, _commuting_placer)
+
+
+def _commuting_placer(wires: int):
+    """level_commuting's place function over fresh per-wire state (_relevel)."""
+    top = np.zeros(wires, dtype=np.int64)
+    busy = np.zeros(wires, dtype=np.int64)  # occupancy window up to top
+    as_ctrl = np.zeros(wires, dtype=np.int64)
+    as_tgt = np.zeros(wires, dtype=np.int64)
+    top_bit = 1 << (_WINDOW - 1)  # a wire's top level in its window
+
+    def place(arr, lv):
+        tops, windows = top[arr], busy[arr]
+        c, t = arr[:, 0], arr[:, 1]
+        base = np.maximum(tops[:, 0], tops[:, 1])
+        # both windows aligned to the higher top, so that bit i stands for
+        # level base + 1 + i (numpy shifts by 64 or more give 0 here)
+        taken = windows >> (base[:, None] - tops)
+        base -= _WINDOW
+        floor = np.maximum(as_tgt[c], as_ctrl[t]) - base  # lowest bit allowed
+        free = ~(taken[:, 0] | taken[:, 1]) & (-1 << np.maximum(floor, 0))
+        # the lowest bit that starts a run of free bits; bit 0 only where
+        # the floor is bit 0, since the level below bit 0 is not known
+        first = free & ~((free << 1) | (floor < 0))
+        np.add(base, np.bitwise_count(first ^ (first - 1)), out=lv)
+        level = lv[:, None]
+        new_top = np.maximum(tops, level)
+        busy[arr] = (windows >> (new_top - tops)) | (top_bit >> (new_top - level))
+        top[arr] = new_top
+        as_ctrl[c] = np.maximum(as_ctrl[c], lv)
+        as_tgt[t] = np.maximum(as_tgt[t], lv)
+
+    return place
 
 
 def _pairs(ctrl: np.ndarray, tgt) -> np.ndarray:
@@ -310,14 +398,15 @@ def _fold_layers(sources, target) -> list:
     return combine + [_pairs(src[0], target)] + combine[::-1]
 
 
-def levelled_circuit(layers: list, wires: int, data: int) -> Circuit:
-    """The circuit of a gate sequence levelled as soon as possible.
+def levelled_circuit(layers: list, wires: int, data: int, level=level_asap) -> Circuit:
+    """The circuit of a gate sequence, levelled by ``level``: as soon as
+    possible (level_asap) unless the caller passes level_commuting.
 
     ``layers`` holds (control, target) arrays in the order the gates are
     applied, the gates of one array on disjoint wires; it is consumed.
-    level_asap checks the wire range, and every level holds a gate, so the
-    levels become the circuit's layers without a per-layer check."""
-    level_asap(layers, wires)
+    The levelling checks the wire range, and every level holds a gate, so
+    the levels become the circuit's layers without a per-layer check."""
+    level(layers, wires)
     c = Circuit(wires, data)
     c.layers = tuple(trusted_layer(a) for a in layers)
     return c

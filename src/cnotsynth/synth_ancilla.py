@@ -35,8 +35,11 @@ ceil(w*n/r) copy rows; _paste_layers turns the colours into a stack's
 copy and paste layers.
 
 Every fragment is emitted as one gate sequence, stack after stack and
-group after group, and levelled once as soon as possible
-(circuit.levelled_circuit): stacks on disjoint wires run side by side.
+group after group, and levelled once by commutation
+(circuit.level_commuting): stacks on disjoint wires run side by side, and
+a gate also drops below earlier gates that share only its control or
+only its target, as pastes into the same target rows, P builds reading
+the same control rows and copy fan-outs do.
 Consecutive groups are double-buffered: even groups build their P rows in
 the first span and odd groups in the second, so a group's P build runs
 beside the previous group's pastes and undo, and a group whose copies fit
@@ -53,7 +56,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import Circuit, _fold_layers, _stable_order, level_asap, levelled_circuit
+from .circuit import Circuit, _fold_layers, _stable_order, level_asap, level_commuting, levelled_circuit
 from .errors import DimensionMismatch
 from .f2 import F2Matrix, invert
 from .synth_free import _split_by
@@ -475,9 +478,9 @@ def synth_with_ancillae(m: F2Matrix, s: int, seed: int = 0) -> Circuit:
     Composition: embed M into the mirror block, embed M^-1 back onto the
     data block (mirror wires as controls), then swap the two n-wire blocks
     with three n-gate layers, (i -> n+i), (n+i -> i), (i -> n+i); the
-    whole sequence is levelled once.  The construction is deterministic:
-    ``seed`` is accepted for callers that pass one to every method, and
-    has no effect.
+    whole sequence is levelled once, by commutation (level_commuting).
+    The construction is deterministic: ``seed`` is accepted for callers
+    that pass one to every method, and has no effect.
     """
     if m.rows != m.cols:
         raise DimensionMismatch("square matrix required")
@@ -493,4 +496,4 @@ def synth_with_ancillae(m: F2Matrix, s: int, seed: int = 0) -> Circuit:
     layers += _embed_layers(minv.to_dense(), s, n, 0)
     swap = np.stack([np.arange(n), np.arange(n, 2 * n)], axis=1)
     layers += [swap, swap[:, ::-1], swap]
-    return levelled_circuit(layers, (3 * s + 2) * n, n)
+    return levelled_circuit(layers, (3 * s + 2) * n, n, level_commuting)

@@ -55,6 +55,12 @@ class TestLayer:
         c = Circuit(3, 3, [[], [(0, 1)], []])
         assert c.depth == 1
 
+    @pytest.mark.parametrize("bad", [[-1, 0], [0, -2], [3, 0], [0, 5]])
+    def test_circuit_rejects_trusted_wires_out_of_range(self, bad):
+        # simulation would wrap a negative wire: -1 -> 0 verifies as 2 -> 0
+        with pytest.raises(MalformedLayer):
+            Circuit(3, 3, [trusted_layer(np.array([bad]))])
+
 
 class TestSimulate:
     def test_empty_is_identity(self):

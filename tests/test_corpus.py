@@ -60,7 +60,10 @@ METHODS = {
 # (n, s) (_layout): a wider stack 0 whose runs stay 2k, narrower partial
 # stacks with shorter runs and more copy rows, and copies alternating by
 # group parity wherever they fit in half their rows: other gates (copies)
-# and fewer layers, the same matrices.  Recipe for a re-pin:
+# and fewer layers, the same matrices.  Both ancilla digests were re-pinned
+# again when synth_with_ancillae began levelling its gate sequence by
+# commutation (circuit.level_commuting), not as soon as possible: the same
+# gates, other levels, fewer layers.  Recipe for a re-pin:
 # with the new source, run
 # ``PYTHONPATH=src python -m pytest -q tests/test_corpus.py`` and copy each
 # changed method's new hex digest from the failing assertion's "!=" lines
@@ -69,8 +72,8 @@ METHODS = {
 CORPUS_SHA256 = {
     "simple": "cf99b441326976c8172dc5aa5d622e7f938d8928d7cf53aeefab3ff309decf1f",
     "dnc": "b3db0b6c445acd92a7c01f1e586a462422334e84bcaccca6aecfedb974aefdb0",
-    "ancilla_s1": "9c91a7fdd3a897b162ee190676fc5ede1cb0369b9323be0dd344102097146a90",
-    "ancilla_s2": "217f4ab036f37046092da95359f78398068fb9f97e0d47edcab200dc5bcc13b5",
+    "ancilla_s1": "18dd2ae24572d4ec45bbbd85476904ecdc6cf92024bfcdff85e9b7bc43a5c8eb",
+    "ancilla_s2": "66ef1e5e7a3d5910c7e5624d91d928ab6be86b5f0bb10f7016d7d5ba5492ba73",
 }
 
 
@@ -116,12 +119,13 @@ STRUCTURED = {
 # with the layby threshold, and both ancilla digests with the runs-of-2k
 # paste colours, the subset-sum P blocks and the alternating P regions,
 # ancilla_s2 alone with the carved work region, and both ancilla digests
-# with the per-(n, s) stack layout, the same way as there.
+# with the per-(n, s) stack layout and with the levelling by commutation,
+# the same way as there.
 STRUCTURED_SHA256 = {
     "simple": "df7a6ffd66b20a9c9d727366ee3ec8d00f702148d3def802fae891e47e9a8481",
     "dnc": "26932af9c1fed0f35d4819f46722460a77c1ae62bdb5079f82a1e71125c41c0d",
-    "ancilla_s1": "7e44beb676445d532df7f49a35d416bc961b0b4f7b302863335080b0f31d3498",
-    "ancilla_s2": "1fc986cdd6db943b6318d47b4e16bebd15bde8bcc9ae76df78dc7f1e38b1b12e",
+    "ancilla_s1": "323209bca1c9d8debb4bcd752a695cb9dcd39ebc90f9be9c76568191bb6efb4f",
+    "ancilla_s2": "fc2588ea44f02d062a8c2758956e1d2ae8ec698aba502324fd979b77baa443bd",
 }
 
 

@@ -1,10 +1,13 @@
-"""As-soon-as-possible levelling and the lock-step staircase.
+"""As-soon-as-possible levelling, levelling by commutation and the
+lock-step staircase.
 
 ``level_asap`` must keep every wire's gate sequence, give wire-disjoint
-layers, leave no gate a level it could drop to, and keep the matrix.  The
-lock-step staircase must emit, per block, exactly the layers of the
-per-block staircase kept here as a reference.  Every synthesiser and
-fragment builder must return a circuit that levelling leaves as it is.
+layers, leave no gate a level it could drop to, and keep the matrix.
+``level_commuting`` must drop a gate below the earlier gates it commutes
+with, and no further.  The lock-step staircase must emit, per block,
+exactly the layers of the per-block staircase kept here as a reference.
+Every synthesiser and fragment builder must return a circuit that
+as-soon-as-possible levelling leaves as it is.
 """
 
 import hashlib
@@ -30,7 +33,7 @@ from cnotsynth import (
     tree_to_circuit_sequential,
     verify_implements,
 )
-from cnotsynth.circuit import _xor_rows, level_asap, levelled_circuit, trusted_layer
+from cnotsynth.circuit import _xor_rows, level_asap, level_commuting, levelled_circuit, trusted_layer
 from cnotsynth.synth_ancilla import (
     _embed_layers,
     _paste_colours,
@@ -195,6 +198,28 @@ class TestLevelAsap:
     def test_random_dnc_sequences(self, n):
         for seed in range(2):
             check_levelled(_dnc_upper_layers(rand_unit_upper(n, seed), seed), n)
+
+
+class TestLevelCommuting:
+    """Exact levels of level_commuting on hand-made sequences; the property
+    test (test_levelling_properties.py) covers random ones."""
+
+    @pytest.mark.parametrize("seq,want", [
+        # 0>2 shares only its control with 0>1 and drops below it; 3>0 must
+        # stay above 0>1, whose control is its target
+        ([[(4, 1)], [(1, 4)], [(4, 1)], [(1, 4)], [(0, 1)], [(0, 2)], [(3, 0)]],
+         [[(4, 1), (0, 2)], [(1, 4)], [(4, 1)], [(1, 4)], [(0, 1)], [(3, 0)]]),
+        # 1>0 shares only its target with 2>0 and drops below it
+        ([[(2, 3)], [(3, 2)], [(2, 0)], [(1, 0)]],
+         [[(2, 3), (1, 0)], [(3, 2)], [(2, 0)]]),
+    ])
+    def test_drops_below_commuting_gates(self, seq, want):
+        out = [np.array(a) for a in seq]
+        level_commuting(out, 5)
+        assert [a.tolist() for a in out] == [[list(g) for g in lv] for lv in want]
+        asap = [np.array(a) for a in seq]
+        level_asap(asap, 5)
+        assert len(asap) == len(want) + 1
 
 
 class TestLockStepStaircase:

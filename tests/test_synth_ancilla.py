@@ -16,7 +16,7 @@ from cnotsynth import (
     verify_implements,
 )
 from cnotsynth import synth_ancilla
-from cnotsynth.circuit import Circuit, Layer, levelled_circuit
+from cnotsynth.circuit import Circuit, Layer, level_asap, levelled_circuit
 from cnotsynth.synth_ancilla import (
     _MIN_GROUPS,
     _P_ROW_USE,
@@ -619,11 +619,12 @@ def test_depth_below_parent(s, n, seed):
 # synth_with_ancillae(random_gl(n, seed), s, seed=seed).depth when every
 # stack owned 3n work wires and a partial stack made every group's copies
 # on the same rows, so a group could copy only once the previous one had
-# reversed its pastes and copies; S1_DEPTHS are today's s = 1 depths, those
-# at n = 512 and 1024 (354 and 595 at the narrower slice width) since a random
-# matrix there takes the wider slices of _slices
+# reversed its pastes and copies; S1_DEPTHS are today's s = 1 depths,
+# re-pinned at n = 512 and 1024 when a random matrix there began taking the
+# wider slices of _slices, and everywhere when the circuit began to be
+# levelled by commutation (PARENT_ASAP_DEPTHS below)
 PARENT_S2_DEPTHS = {(256, 0): 253, (256, 1): 251, (256, 2): 255, (512, 100): 523, (1024, 1): 797}
-S1_DEPTHS = {(256, 0): 221, (256, 1): 219, (256, 2): 219, (512, 100): 347, (1024, 1): 575}
+S1_DEPTHS = {(256, 0): 155, (256, 1): 155, (256, 2): 156, (512, 100): 257, (1024, 1): 388}
 
 
 @pytest.mark.parametrize("n,seed", sorted(PARENT_S2_DEPTHS))
@@ -653,3 +654,48 @@ def test_copy_runs_depth_below_parent(s, n, seed):
     assert verify_implements(c, m).ok
     ratio = 0.8 if s == 1 and n >= 512 else 1.0
     assert c.depth <= ratio * PARENT_RUN_DEPTHS[s][n, seed]
+
+
+# synth_with_ancillae(random_gl(n, seed), s, seed=seed).depth when the gate
+# sequence was levelled as soon as possible (level_asap), every wire
+# keeping its gate order
+PARENT_ASAP_DEPTHS = {
+    1: {(256, 0): 221, (256, 1): 219, (256, 2): 219, (512, 100): 347, (1024, 1): 575},
+    2: {(256, 0): 177, (256, 1): 179, (256, 2): 180, (512, 100): 284, (1024, 1): 455},
+}
+COMMUTING_RATIO = {1: 0.8, 2: 0.85}
+
+
+@pytest.mark.parametrize(
+    "s,n,seed", [(s, n, seed) for s, v in PARENT_ASAP_DEPTHS.items() for n, seed in sorted(v)]
+)
+def test_commuting_depth_below_parent(s, n, seed):
+    m = random_gl(n, seed)
+    c = synth_with_ancillae(m, s, seed=seed)
+    assert verify_implements(c, m).ok
+    assert c.depth <= COMMUTING_RATIO[s] * PARENT_ASAP_DEPTHS[s][n, seed]
+
+
+def asap_depth(m, s):
+    """Depth of synth_with_ancillae's gate sequence levelled as soon as
+    possible: both embeddings and the data/mirror swap."""
+    n = m.rows
+    layers = _embed_layers(m.to_dense(), s, 0, n) + _embed_layers(invert(m).to_dense(), s, n, 0)
+    swap = np.stack([np.arange(n), np.arange(n, 2 * n)], axis=1)
+    layers += [swap, swap[:, ::-1], swap]
+    level_asap(layers, (3 * s + 2) * n)
+    return len(layers)
+
+
+@pytest.mark.parametrize("family", sorted(STRUCTURED))
+def test_commuting_depth_within_asap_on_structured(family):
+    for n in (65, 127, 129, 300):
+        m = STRUCTURED[family](n)
+        depths = []
+        for s in (1, 2, 4):
+            if s <= max_scale(n):
+                c = synth_with_ancillae(m, s)
+                assert verify_implements(c, m).ok, (n, s)
+                assert c.depth <= asap_depth(m, s), (n, s)
+                depths.append(c.depth)
+        assert depths == sorted(depths, reverse=True), (n, depths)
