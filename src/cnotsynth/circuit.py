@@ -287,9 +287,8 @@ def level_asap(layers: list, wires: int) -> None:
     its wires.  Every wire keeps its sequence of gates, and gates on
     disjoint wires commute, so the circuit's matrix is unchanged; the
     depth is the longest chain of gates linked by shared wires, which no
-    schedule that keeps each wire's sequence can beat.  The free
-    synthesisers, the tree contraction and the P-block template are
-    levelled this way.
+    schedule that keeps each wire's sequence can beat.  synth_simple, the
+    tree contraction and the P-block template are levelled this way.
     """
     _relevel(layers, wires, _asap_placer)
 
@@ -338,7 +337,8 @@ def level_commuting(layers: list, wires: int) -> None:
     Since every gate sits at level 1 or has a gate on its wires one level
     down, level_asap leaves the result as it is.  The gates of an input
     array share no wire, so the state is read and written for a whole
-    array at a time.  The ancilla synthesis is levelled this way.
+    array at a time.  synth_dnc and the ancilla synthesis are levelled
+    this way.
     """
     _relevel(layers, wires, _commuting_placer)
 
@@ -400,7 +400,8 @@ def _fold_layers(sources, target) -> list:
 
 def levelled_circuit(layers: list, wires: int, data: int, level=level_asap) -> Circuit:
     """The circuit of a gate sequence, levelled by ``level``: as soon as
-    possible (level_asap) unless the caller passes level_commuting.
+    possible (level_asap) unless the caller passes level_commuting, as
+    synth_dnc and synth_with_ancillae do.
 
     ``layers`` holds (control, target) arrays in the order the gates are
     applied, the gates of one array on disjoint wires; it is consumed.

@@ -21,10 +21,11 @@ and the block is moved A -> B -> 0 in two traverses; otherwise one
 traverse A -> 0 clears it.
 
 A factor's reduction is emitted as one gate sequence: the base-case
-staircases in lock step, then the traverses, children before parents.
-Both pipelines level their whole circuit as soon as possible
-(circuit.levelled_circuit), so halves, stages and walk steps overlap
-wherever their wires are free.
+staircases in lock step, then the traverses in lock step by recursion
+depth, deepest first, so children come before parents.  Each pipeline
+levels its whole circuit as one sequence (circuit.levelled_circuit), so
+halves, stages and walk steps overlap wherever their wires are free:
+synth_simple as soon as possible, synth_dnc by commutation.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, _stable_order, _xor_rows, levelled_circuit, trusted_layer
+from .circuit import Circuit, _stable_order, _xor_rows, level_commuting, levelled_circuit, trusted_layer
 from .errors import DimensionMismatch, LaybyFailure, NotLowerTriangular
 from .f2 import F2Matrix, _nwords, _solve_unit_upper, plu_decompose, rank
 from .matching import color_edges
@@ -611,33 +612,47 @@ def _traverse_block(x: F2Matrix, top_base: int, bot_base: int, k: int, n_ctx: in
     return layers
 
 
-def _elim_upper_layers(u: F2Matrix, base: int, seed: int, leaves: list, blocks: list) -> None:
+def _elim_upper_layers(u: F2Matrix, base: int, seed: int, leaves: list, blocks: list, depth: int = 0) -> None:
     """Collect the leaves of the recursion, as (first wire, block) pairs,
-    and the traverse layers of its inner nodes in post-order."""
+    and the traverse layers of its inner nodes by recursion depth:
+    ``blocks[d]`` lists those of the nodes at depth d, left to right."""
     m = u.rows
     if m <= _BASE_SIZE:
         leaves.append((base, u))
         return
+    if len(blocks) == depth:
+        blocks.append([])
     k = max(1, (m.bit_length() - 1) // 2)
     h2 = k * ((m // 2) // k)
     h1 = m - h2
     m1 = u.submatrix(0, h1, 0, h1)
-    _elim_upper_layers(m1, base, 2 * seed + 1, leaves, blocks)
-    _elim_upper_layers(u.submatrix(h1, m, h1, m), base + h1, 2 * seed + 2, leaves, blocks)
+    _elim_upper_layers(m1, base, 2 * seed + 1, leaves, blocks, depth + 1)
+    _elim_upper_layers(u.submatrix(h1, m, h1, m), base + h1, 2 * seed + 2, leaves, blocks, depth + 1)
     x = _solve_unit_upper(m1, u.submatrix(0, h1, h1, m))
-    blocks.extend(_traverse_block(x, base, base + h1, k, m, seed))
+    blocks[depth].append(_traverse_block(x, base, base + h1, k, m, seed))
 
 
 def _dnc_upper_layers(u: F2Matrix, seed: int) -> list:
     """The divide-and-conquer reduction of the unit upper triangular u,
     which simulates u^-1, as one gate sequence: every base-case staircase
-    in lock step, then the traverse blocks, children before parents.  Each
-    wire sees its gates in the order of the recursion, so levelling the
-    sequence gives a schedule no deeper than running the halves side by
-    side and the traverse after them."""
+    in lock step, then the traverse blocks in lock step by recursion depth,
+    deepest first.  The blocks of one depth lie on disjoint wire ranges,
+    so their i-th arrays are concatenated into one, in block order; a
+    block's arrays are dropped once concatenated.  A wire's traverses sit
+    at distinct depths, so each wire sees its gates in the order of the
+    recursion, children before parents.  Levelling, as soon as possible or
+    by commutation, places a gate by the gates on its two wires alone, so
+    it puts every gate on the level it would take were the blocks emitted
+    one after another in post-order, from about half as many arrays."""
     leaves, blocks = [], []
     _elim_upper_layers(u, 0, seed, leaves, blocks)
-    return _staircase_upper_layers(leaves) + blocks
+    layers = _staircase_upper_layers(leaves)
+    while blocks:
+        same = [block[::-1] for block in blocks.pop() if block]
+        while same:
+            layers.append(np.concatenate([block.pop() for block in same]))
+            same = [block for block in same if block]
+    return layers
 
 
 # ----------------------------------------------------------------------
@@ -667,12 +682,14 @@ def synth_dnc(m: F2Matrix, seed: int = 0) -> Circuit:
 
     Same PLU skeleton as synth_simple, but both triangular factors are
     cleared by the divide-and-conquer parallel elimination (the lower one
-    through its transpose).  The reversed reduction is levelled as one
-    gate sequence, so the stages overlap wherever their wires allow.
+    through its transpose).  The reversed reduction is levelled by
+    commutation as one gate sequence (circuit.level_commuting), so the
+    stages overlap wherever their wires allow and a gate passes the
+    earlier gates it commutes with.
     """
     plu = plu_decompose(m)
     layers = [l.pairs for l in permutation_layers(_invert_perm(plu.perm)).layers]
     layers.extend(_flip_reverse(_dnc_upper_layers(plu.lower.transpose(), seed)))
     layers.extend(_dnc_upper_layers(plu.upper, seed + 1))
     layers.reverse()
-    return levelled_circuit(layers, m.rows, m.rows)
+    return levelled_circuit(layers, m.rows, m.rows, level_commuting)

@@ -61,3 +61,17 @@ def gl3_members():
             out.append(m)
     assert len(out) == 168
     return out
+
+
+def repeated_row(n):
+    """I + 1 v^T for a seeded v of even weight, so invertible: every row
+    is the same vector v plus its own unit vector."""
+    v = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
+    v[0] ^= v.sum() & 1
+    return F2Matrix.from_dense(np.eye(n, dtype=np.uint8) ^ v[None, :])
+
+
+def repeated_col(n):
+    """The transpose of repeated_row(n): every column is the same vector
+    plus its own unit vector."""
+    return repeated_row(n).transpose()

@@ -63,7 +63,11 @@ METHODS = {
 # and fewer layers, the same matrices.  Both ancilla digests were re-pinned
 # again when synth_with_ancillae began levelling its gate sequence by
 # commutation (circuit.level_commuting), not as soon as possible: the same
-# gates, other levels, fewer layers.  Recipe for a re-pin:
+# gates, other levels, fewer layers.  dnc was re-pinned when synth_dnc
+# began levelling by commutation too, its same-depth traverse blocks
+# emitted in lock step: the same gates, other levels, fewer layers (the
+# lock step alone, levelled as soon as possible, kept every byte).
+# Recipe for a re-pin:
 # with the new source, run
 # ``PYTHONPATH=src python -m pytest -q tests/test_corpus.py`` and copy each
 # changed method's new hex digest from the failing assertion's "!=" lines
@@ -71,7 +75,7 @@ METHODS = {
 # means the change reached a method it was not meant to.
 CORPUS_SHA256 = {
     "simple": "cf99b441326976c8172dc5aa5d622e7f938d8928d7cf53aeefab3ff309decf1f",
-    "dnc": "b3db0b6c445acd92a7c01f1e586a462422334e84bcaccca6aecfedb974aefdb0",
+    "dnc": "b13b298e49d39d3fc1ca5170e175abf1a51f9b9019caaaeb2e2f81dbd961c5bd",
     "ancilla_s1": "18dd2ae24572d4ec45bbbd85476904ecdc6cf92024bfcdff85e9b7bc43a5c8eb",
     "ancilla_s2": "66ef1e5e7a3d5910c7e5624d91d928ab6be86b5f0bb10f7016d7d5ba5492ba73",
 }
@@ -120,10 +124,10 @@ STRUCTURED = {
 # paste colours, the subset-sum P blocks and the alternating P regions,
 # ancilla_s2 alone with the carved work region, and both ancilla digests
 # with the per-(n, s) stack layout and with the levelling by commutation,
-# the same way as there.
+# and dnc again with its levelling by commutation, the same way as there.
 STRUCTURED_SHA256 = {
     "simple": "df7a6ffd66b20a9c9d727366ee3ec8d00f702148d3def802fae891e47e9a8481",
-    "dnc": "26932af9c1fed0f35d4819f46722460a77c1ae62bdb5079f82a1e71125c41c0d",
+    "dnc": "3912a9691cdc6f95ac95c38e3d781be67167c3925c7826387f3ba289a9483b3e",
     "ancilla_s1": "323209bca1c9d8debb4bcd752a695cb9dcd39ebc90f9be9c76568191bb6efb4f",
     "ancilla_s2": "fc2588ea44f02d062a8c2758956e1d2ae8ec698aba502324fd979b77baa443bd",
 }

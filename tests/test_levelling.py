@@ -46,6 +46,7 @@ from cnotsynth.synth_free import (
     _elim_upper_layers,
     _flip_reverse,
     _staircase_lower_layers,
+    _staircase_upper_layers,
 )
 from conftest import left_prefix_tree, rand_tree, rand_unit_lower, rand_unit_upper
 
@@ -251,17 +252,20 @@ class TestLockStepStaircase:
 
     @pytest.mark.parametrize("n,seed", [(300, 0), (700, 1)])
     def test_leaf_emission_order_does_not_change_the_circuit(self, n, seed):
+        # levelled by commutation, as synth_dnc levels; the traverse blocks
+        # follow the leaves one after another, deepest depth first
         u = rand_unit_upper(n, seed)
         leaves, blocks = [], []
         _elim_upper_layers(u, 0, seed, leaves, blocks)
+        traverses = [a for same in reversed(blocks) for block in same for a in block]
         per_leaf = []
         for base, leaf in leaves:
             per_leaf.extend(_flip_reverse(staircase_lower_ref(leaf.transpose(), base)))
         texts = [
-            format_circuit(Circuit(n, n, [trusted_layer(a) for a in levelled(seq + blocks, n)]))
-            for seq in (per_leaf, _dnc_upper_layers(u, seed)[: -len(blocks)])
+            format_circuit(levelled_circuit(seq + traverses, n, n, level_commuting))
+            for seq in (per_leaf, _staircase_upper_layers(leaves))
         ]
-        texts.append(format_circuit(circuit_of(_dnc_upper_layers(u, seed), n)))
+        texts.append(format_circuit(levelled_circuit(_dnc_upper_layers(u, seed), n, n, level_commuting)))
         digests = [hashlib.sha256(t.encode()).hexdigest() for t in texts]
         assert digests[0] == digests[1] == digests[2], first_difference(texts)
 
