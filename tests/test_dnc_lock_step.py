@@ -10,9 +10,6 @@ as soon as possible on the same gates, and never deeper on any
 structured family.
 """
 
-import warnings
-
-import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
