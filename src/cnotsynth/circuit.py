@@ -1,4 +1,5 @@
-"""Layered CNOT circuits: representation, simulation, verification, levelling.
+"""Layered CNOT circuits: representation, simulation, verification and
+levelling by commutation, with as-soon-as-possible levelling as its reference.
 
 Conventions used everywhere:
   * wire indices are 0-based;
@@ -287,8 +288,8 @@ def level_asap(layers: list, wires: int) -> None:
     its wires.  Every wire keeps its sequence of gates, and gates on
     disjoint wires commute, so the circuit's matrix is unchanged; the
     depth is the longest chain of gates linked by shared wires, which no
-    schedule that keeps each wire's sequence can beat.  synth_simple, the
-    tree contraction and the P-block template are levelled this way.
+    schedule that keeps each wire's sequence can beat.  Reference that
+    tests check levelling against; no synthesiser calls it.
     """
     _relevel(layers, wires, _asap_placer)
 
@@ -337,8 +338,7 @@ def level_commuting(layers: list, wires: int) -> None:
     Since every gate sits at level 1 or has a gate on its wires one level
     down, level_asap leaves the result as it is.  The gates of an input
     array share no wire, so the state is read and written for a whole
-    array at a time.  synth_dnc and the ancilla synthesis are levelled
-    this way.
+    array at a time.  Every synthesiser is levelled this way.
     """
     _relevel(layers, wires, _commuting_placer)
 
@@ -398,16 +398,15 @@ def _fold_layers(sources, target) -> list:
     return combine + [_pairs(src[0], target)] + combine[::-1]
 
 
-def levelled_circuit(layers: list, wires: int, data: int, level=level_asap) -> Circuit:
-    """The circuit of a gate sequence, levelled by ``level``: as soon as
-    possible (level_asap) unless the caller passes level_commuting, as
-    synth_dnc and synth_with_ancillae do.
+def levelled_circuit(layers: list, wires: int, data: int) -> Circuit:
+    """The circuit of a gate sequence, levelled by commutation
+    (level_commuting).
 
     ``layers`` holds (control, target) arrays in the order the gates are
     applied, the gates of one array on disjoint wires; it is consumed.
     The levelling checks the wire range, and every level holds a gate, so
     the levels become the circuit's layers without a per-layer check."""
-    level(layers, wires)
+    level_commuting(layers, wires)
     c = Circuit(wires, data)
     c.layers = tuple(trusted_layer(a) for a in layers)
     return c

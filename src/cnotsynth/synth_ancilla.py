@@ -56,7 +56,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import Circuit, _fold_layers, _stable_order, level_asap, level_commuting, levelled_circuit
+from .circuit import Circuit, _fold_layers, _stable_order, level_commuting, levelled_circuit
 from .errors import DimensionMismatch
 from .f2 import F2Matrix, invert
 from .synth_free import _split_by
@@ -332,7 +332,8 @@ def _p_template(kb: int) -> tuple:
     b into rows 2^(b+1) - 1 down to 2^b, every wire holding it feeding one
     new row per round, and one layer adds row u into row 2^b + u for
     1 <= u < 2^b.  The last round only writes row 2^b, which no add
-    touches, so the add runs beside it and the build, levelled here once,
+    touches, so the add runs beside it and the build, levelled here once
+    by commutation (which gives it the as-soon-as-possible levels),
     takes kb layers (kb + 1, and deeper circuits, with row 2^b written
     first).  The layers are intp arrays, which index faster than int32."""
     nz = (1 << kb) - 1
@@ -341,7 +342,7 @@ def _p_template(kb: int) -> tuple:
     for b in range(1, kb):
         low = np.arange(kb, kb + (1 << b) - 1)  # rows 1 .. 2^b - 1
         seq.append(np.stack([low, low + (1 << b)], axis=1))
-    level_asap(seq, kb + nz)
+    level_commuting(seq, kb + nz)
     out = tuple(arr.astype(np.intp) for arr in seq)
     for arr in out:
         arr.setflags(write=False)  # shared by every caller through the cache
@@ -496,4 +497,4 @@ def synth_with_ancillae(m: F2Matrix, s: int, seed: int = 0) -> Circuit:
     layers += _embed_layers(minv.to_dense(), s, n, 0)
     swap = np.stack([np.arange(n), np.arange(n, 2 * n)], axis=1)
     layers += [swap, swap[:, ::-1], swap]
-    return levelled_circuit(layers, (3 * s + 2) * n, n, level_commuting)
+    return levelled_circuit(layers, (3 * s + 2) * n, n)

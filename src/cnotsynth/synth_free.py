@@ -23,9 +23,9 @@ traverse A -> 0 clears it.
 A factor's reduction is emitted as one gate sequence: the base-case
 staircases in lock step, then the traverses in lock step by recursion
 depth, deepest first, so children come before parents.  Each pipeline
-levels its whole circuit as one sequence (circuit.levelled_circuit), so
-halves, stages and walk steps overlap wherever their wires are free:
-synth_simple as soon as possible, synth_dnc by commutation.
+levels its whole circuit as one sequence, by commutation
+(circuit.levelled_circuit), so halves, stages and walk steps overlap
+wherever their wires are free.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, _stable_order, _xor_rows, level_commuting, levelled_circuit, trusted_layer
+from .circuit import Circuit, _stable_order, _xor_rows, levelled_circuit, trusted_layer
 from .errors import DimensionMismatch, LaybyFailure, NotLowerTriangular
 from .f2 import F2Matrix, _nwords, _solve_unit_upper, plu_decompose, rank
 from .matching import color_edges
@@ -666,8 +666,8 @@ def synth_simple(m: F2Matrix) -> Circuit:
     PLU-factors the input, clears each triangular factor with a staircase
     sweep (depth <= 2n-3 each) and the permutation with <= 6 layers, then
     reverses the whole reduction so the result simulates ``m`` itself.  The
-    reversed reduction is levelled as one gate sequence, so the stages
-    overlap wherever their wires allow.
+    reversed reduction is levelled by commutation as one gate sequence, so
+    the stages overlap wherever their wires allow.
     """
     plu = plu_decompose(m)
     layers = [l.pairs for l in permutation_layers(_invert_perm(plu.perm)).layers]
@@ -692,4 +692,4 @@ def synth_dnc(m: F2Matrix, seed: int = 0) -> Circuit:
     layers.extend(_flip_reverse(_dnc_upper_layers(plu.lower.transpose(), seed)))
     layers.extend(_dnc_upper_layers(plu.upper, seed + 1))
     layers.reverse()
-    return levelled_circuit(layers, m.rows, m.rows, level_commuting)
+    return levelled_circuit(layers, m.rows, m.rows)

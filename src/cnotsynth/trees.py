@@ -11,7 +11,7 @@ children fire directly (rake), and maximal chains of nodes each waiting
 only on one finished child collapse through a parallel-prefix block
 (compress).  Chains contribute O(log n) depth per round and the round
 count is logarithmic, giving O(log^2 n) overall.  The rounds' gates form
-one sequence, chain after chain, levelled once as soon as possible
+one sequence, chain after chain, levelled once by commutation
 (circuit.levelled_circuit), so chains on disjoint wires share layers and
 a round starts wherever the previous one has freed its wires.
 """
@@ -248,7 +248,7 @@ def contract_tree(t: CnotTree) -> Circuit:
     a maximal chain of ancestors each waiting only on one finished child;
     the chain's gates form a prefix structure over the wires where the
     accumulator moves, plus per-site folds where it stays.  The chains'
-    gates are levelled once, as one sequence.
+    gates are levelled once, as one sequence, by commutation.
     """
     n = t.n_leaves
     nodes = t.nodes

@@ -18,7 +18,7 @@ from cnotsynth import (
     synth_simple,
     verify_implements,
 )
-from cnotsynth.circuit import level_asap, levelled_circuit, trusted_layer
+from cnotsynth.circuit import level_asap, level_commuting, levelled_circuit, trusted_layer
 
 
 def format_circuit_ref(c):
@@ -164,14 +164,17 @@ class TestInt32Gates:
         x = np.random.default_rng(1).integers(0, 2, 40, dtype=np.uint8)
         assert np.array_equal(apply_to_bits(c32, x), apply_to_bits(c64, x))
 
-    def test_level_asap_rejects_wires_past_int32(self, monkeypatch):
+    @pytest.mark.parametrize("level", [
+        level_asap, level_commuting, lambda layers, wires: levelled_circuit(layers, wires, wires),
+    ], ids=["level_asap", "level_commuting", "levelled_circuit"])
+    def test_levelling_rejects_wires_past_int32(self, monkeypatch, level):
         import cnotsynth.circuit as circuit
 
         # any numpy call would fail here instead of allocating per wire
         monkeypatch.setattr(circuit, "np", None)
         for wires in (1 << 31, 1 << 40):
             with pytest.raises(TooLarge):
-                level_asap([], wires)
+                level([], wires)
 
     @pytest.mark.parametrize("bad", [[-1, 2], [0, -3], [4, 0], [1, 9]])
     def test_levelled_circuit_rejects_wires_out_of_range(self, bad):

@@ -66,7 +66,9 @@ METHODS = {
 # gates, other levels, fewer layers.  dnc was re-pinned when synth_dnc
 # began levelling by commutation too, its same-depth traverse blocks
 # emitted in lock step: the same gates, other levels, fewer layers (the
-# lock step alone, levelled as soon as possible, kept every byte).
+# lock step alone, levelled as soon as possible, kept every byte).  simple
+# was re-pinned when synth_simple began levelling by commutation too, the
+# last method to: the same gates, other levels, fewer layers.
 # Recipe for a re-pin:
 # with the new source, run
 # ``PYTHONPATH=src python -m pytest -q tests/test_corpus.py`` and copy each
@@ -74,7 +76,7 @@ METHODS = {
 # into CORPUS_SHA256 or STRUCTURED_SHA256; any other digest that moves
 # means the change reached a method it was not meant to.
 CORPUS_SHA256 = {
-    "simple": "cf99b441326976c8172dc5aa5d622e7f938d8928d7cf53aeefab3ff309decf1f",
+    "simple": "94beab1ef08441306fbaef80e19c37f94726d83d9c24dd2abb2b9a3e6f6d2607",
     "dnc": "b13b298e49d39d3fc1ca5170e175abf1a51f9b9019caaaeb2e2f81dbd961c5bd",
     "ancilla_s1": "18dd2ae24572d4ec45bbbd85476904ecdc6cf92024bfcdff85e9b7bc43a5c8eb",
     "ancilla_s2": "66ef1e5e7a3d5910c7e5624d91d928ab6be86b5f0bb10f7016d7d5ba5492ba73",
@@ -124,9 +126,10 @@ STRUCTURED = {
 # paste colours, the subset-sum P blocks and the alternating P regions,
 # ancilla_s2 alone with the carved work region, and both ancilla digests
 # with the per-(n, s) stack layout and with the levelling by commutation,
-# and dnc again with its levelling by commutation, the same way as there.
+# and dnc and then simple again with their levelling by commutation, the
+# same way as there.
 STRUCTURED_SHA256 = {
-    "simple": "df7a6ffd66b20a9c9d727366ee3ec8d00f702148d3def802fae891e47e9a8481",
+    "simple": "5b92b14acaed82ee1bf4899e6e71e8f388eec4acfaa03c08e6245952c02dc2c4",
     "dnc": "3912a9691cdc6f95ac95c38e3d781be67167c3925c7826387f3ba289a9483b3e",
     "ancilla_s1": "323209bca1c9d8debb4bcd752a695cb9dcd39ebc90f9be9c76568191bb6efb4f",
     "ancilla_s2": "fc2588ea44f02d062a8c2758956e1d2ae8ec698aba502324fd979b77baa443bd",
@@ -152,8 +155,10 @@ def test_structured_circuit_bytes_unchanged():
 # The first 20 trees of acceptance criterion 11, each covered by its tree
 # text and its contract_tree circuit text.  Depth ceilings alone guard the
 # contraction otherwise, and it shares circuit._fold_layers with the
-# ancilla fan-in.
-TREE_SHA256 = "e4670af273d1e09b62bb2c84330b917a78d4d58bb62cafbc077b535a9d1f8b81"
+# ancilla fan-in.  Re-pinned when contract_tree began levelling by
+# commutation, not as soon as possible: the same gates, other levels,
+# fewer layers (301 summed over the 20 trees, against 338).
+TREE_SHA256 = "2bde67491df6a5918ac94b310c3d65e64ea5632ffcce94bce794342235013ddb"
 
 
 def test_contract_tree_bytes_unchanged():

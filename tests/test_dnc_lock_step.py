@@ -15,8 +15,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from cnotsynth import F2Matrix, plu_decompose, random_gl, synth_dnc, verify_implements  # noqa: E402
-from cnotsynth.circuit import level_asap, level_commuting, levelled_circuit  # noqa: E402
+from cnotsynth import Circuit, F2Matrix, plu_decompose, random_gl, synth_dnc, verify_implements  # noqa: E402
+from cnotsynth.circuit import level_asap, levelled_circuit, trusted_layer  # noqa: E402
 from cnotsynth.f2 import _solve_unit_upper  # noqa: E402
 from cnotsynth.synth_free import (  # noqa: E402
     _BASE_SIZE,
@@ -66,11 +66,19 @@ def dnc_sequence(m: F2Matrix, seed: int, upper_layers=_dnc_upper_layers) -> list
     return layers
 
 
+def asap_circuit(seq: list, n: int) -> Circuit:
+    """The circuit of a gate sequence levelled as soon as possible, the
+    reference levelling."""
+    seq = list(seq)
+    level_asap(seq, n)
+    return Circuit(n, n, [trusted_layer(a) for a in seq])
+
+
 def depths(m: F2Matrix, seed: int) -> tuple:
     """synth_dnc's circuit, and the depth of its gate sequence levelled as
     soon as possible."""
     c = synth_dnc(m, seed=seed)
-    asap = levelled_circuit(dnc_sequence(m, seed), m.rows, m.rows, level_asap)
+    asap = asap_circuit(dnc_sequence(m, seed), m.rows)
     assert asap.size == c.size
     return c, asap.depth
 
@@ -90,9 +98,9 @@ def test_lock_step_keeps_every_gate_on_its_level(case):
     family, n, seed, m = case
     lock_step = dnc_sequence(m, seed)
     post_order = dnc_sequence(m, seed, post_order_upper_layers)
-    for level in (level_asap, level_commuting):
-        got = levelled_circuit(list(lock_step), n, n, level)
-        assert got == levelled_circuit(list(post_order), n, n, level), (level.__name__, family, n)
+    assert asap_circuit(lock_step, n) == asap_circuit(post_order, n), ("level_asap", family, n)
+    got = levelled_circuit(list(lock_step), n, n)
+    assert got == levelled_circuit(list(post_order), n, n), ("level_commuting", family, n)
     assert got == synth_dnc(m, seed=seed)
     assert verify_implements(got, m).ok, (family, n)
 

@@ -262,10 +262,10 @@ class TestLockStepStaircase:
         for base, leaf in leaves:
             per_leaf.extend(_flip_reverse(staircase_lower_ref(leaf.transpose(), base)))
         texts = [
-            format_circuit(levelled_circuit(seq + traverses, n, n, level_commuting))
+            format_circuit(levelled_circuit(seq + traverses, n, n))
             for seq in (per_leaf, _staircase_upper_layers(leaves))
         ]
-        texts.append(format_circuit(levelled_circuit(_dnc_upper_layers(u, seed), n, n, level_commuting)))
+        texts.append(format_circuit(levelled_circuit(_dnc_upper_layers(u, seed), n, n)))
         digests = [hashlib.sha256(t.encode()).hexdigest() for t in texts]
         assert digests[0] == digests[1] == digests[2], first_difference(texts)
 
@@ -357,12 +357,14 @@ def test_contract_tree_is_levelled(shape, n):
 
 # depth of the layer-overlay circuits that levelling replaced, after one
 # level_asap pass over them, for random_gl(n, seed) with the method's
-# seed = seed
+# seed = seed; OVERLAY_RATIO is the share of it a method may take (simple
+# is levelled by commutation: measured 0.824-0.829)
 PARENT_LEVELLED_DEPTH = {
     "simple": {(256, 0): 625, (256, 1): 621, (256, 2): 614, (1024, 1): 2507},
     "ancilla_s1": {(256, 0): 504, (256, 1): 495, (256, 2): 498, (1024, 1): 1727},
     "ancilla_s2": {(256, 0): 429, (256, 1): 426, (256, 2): 427, (1024, 1): 1380},
 }
+OVERLAY_RATIO = {"simple": 0.85, "ancilla_s1": 1, "ancilla_s2": 1}
 CEILING_SYNTH = {
     "simple": lambda m, seed: synth_simple(m),
     "ancilla_s1": lambda m, seed: synth_with_ancillae(m, 1, seed=seed),
@@ -377,13 +379,15 @@ def test_depth_not_above_levelled_overlay(method, n, seed):
     m = random_gl(n, seed)
     c = CEILING_SYNTH[method](m, seed)
     assert verify_implements(c, m).ok
-    assert c.depth <= PARENT_LEVELLED_DEPTH[method][n, seed]
+    assert c.depth <= OVERLAY_RATIO[method] * PARENT_LEVELLED_DEPTH[method][n, seed]
 
 
 # the first three trees of acceptance criterion 11, rand_tree(n, trial):
 # (n, trial) -> depth of the layer-overlay contraction after one
-# level_asap pass
+# level_asap pass; COMMUTING_TREE_DEPTH is the lower ceiling of a tree
+# whose contraction levelled by commutation measured below it
 PARENT_LEVELLED_TREE_DEPTH = {(460, 0): 16, (555, 1): 17, (534, 2): 17}
+COMMUTING_TREE_DEPTH = {(460, 0): 13}
 
 
 @pytest.mark.parametrize("n,trial", sorted(PARENT_LEVELLED_TREE_DEPTH))
@@ -391,4 +395,4 @@ def test_tree_depth_not_above_levelled_overlay(n, trial):
     t = rand_tree(n, trial)
     c = contract_tree(t)
     assert simulate_to_matrix(c) == simulate_to_matrix(tree_to_circuit_sequential(t))
-    assert c.depth <= PARENT_LEVELLED_TREE_DEPTH[n, trial]
+    assert c.depth <= COMMUTING_TREE_DEPTH.get((n, trial), PARENT_LEVELLED_TREE_DEPTH[n, trial])
